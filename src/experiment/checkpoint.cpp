@@ -45,21 +45,45 @@ std::string_view ExpectKeyLine(std::string_view line, std::string_view key) {
   return line.substr(key.size() + 1);
 }
 
-}  // namespace
-
-std::uint64_t CheckpointChecksum(std::string_view bytes) noexcept {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;  // FNV-1a 64 offset basis
-  for (const unsigned char ch : bytes) {
-    hash ^= ch;
-    hash *= 0x100000001B3ULL;  // FNV prime
-  }
-  return hash;
+/// The "end <fnv1a64-hex>\n" line that seals a checksummed body.
+std::string EndLine(std::uint64_t checksum) {
+  char line[22];
+  std::snprintf(line, sizeof(line), "end %016llx\n",
+                static_cast<unsigned long long>(checksum));
+  return line;
 }
 
-void WriteChecksummedFile(const std::string& path, std::string_view body) {
-  char checksum[17];
-  std::snprintf(checksum, sizeof(checksum), "%016llx",
-                static_cast<unsigned long long>(CheckpointChecksum(body)));
+/// Flushes `out` and applies the "checkpoint.write" fault site to it.
+/// Returns false when the write failed (really or by injection).
+bool FlushedOk(std::ofstream& out) {
+  out.flush();
+  auto& injector = util::FaultInjector::Global();
+  if (injector.Armed() && injector.ShouldFail("checkpoint.write")) {
+    out.setstate(std::ios::failbit);
+  }
+  return static_cast<bool>(out);
+}
+
+}  // namespace
+
+std::uint64_t CheckpointChecksumContinue(std::uint64_t state,
+                                         std::string_view bytes) noexcept {
+  for (const unsigned char ch : bytes) {
+    state ^= ch;
+    state *= 0x100000001B3ULL;  // FNV prime
+  }
+  return state;
+}
+
+std::uint64_t CheckpointChecksum(std::string_view bytes) noexcept {
+  // FNV-1a 64 offset basis.
+  return CheckpointChecksumContinue(0xCBF29CE484222325ULL, bytes);
+}
+
+ChecksummedTail WriteChecksummedFile(const std::string& path,
+                                     std::string_view body) {
+  const std::uint64_t checksum = CheckpointChecksum(body);
+  const std::string end_line = EndLine(checksum);
 
   // Atomic publish: a crash (or injected failure) while writing the tmp
   // file leaves any previous file at `path` intact.
@@ -69,13 +93,8 @@ void WriteChecksummedFile(const std::string& path, std::string_view body) {
     if (!out) {
       throw CheckpointError("checkpoint: cannot open " + tmp);
     }
-    out << body << "end " << checksum << '\n';
-    out.flush();
-    auto& injector = util::FaultInjector::Global();
-    if (injector.Armed() && injector.ShouldFail("checkpoint.write")) {
-      out.setstate(std::ios::failbit);
-    }
-    if (!out) {
+    out << body << end_line;
+    if (!FlushedOk(out)) {
       out.close();
       std::error_code ec;
       std::filesystem::remove(tmp, ec);
@@ -91,6 +110,35 @@ void WriteChecksummedFile(const std::string& path, std::string_view body) {
     throw CheckpointError("checkpoint: cannot rename " + tmp + " to " + path +
                           ": " + ec.message());
   }
+  return {body.size() + end_line.size(),
+          CheckpointChecksumContinue(checksum, end_line)};
+}
+
+void AppendChecksummedFile(const std::string& path, std::string_view body,
+                           ChecksummedTail* tail) {
+  const std::uint64_t checksum = CheckpointChecksumContinue(tail->hash, body);
+  const std::string end_line = EndLine(checksum);
+  {
+    // in|out opens without truncating; writing at the committed length
+    // (not at the physical end) also overwrites any stray tail bytes.
+    std::ofstream out(path, std::ios::binary | std::ios::in | std::ios::out);
+    if (!out) {
+      throw CheckpointError("checkpoint: cannot open " + path +
+                            " for append");
+    }
+    out.seekp(static_cast<std::streamoff>(tail->size));
+    out << body << end_line;
+    if (!FlushedOk(out)) {
+      out.close();
+      // Roll back to the last commit: the file is byte-identical to before.
+      std::error_code ec;
+      std::filesystem::resize_file(path, tail->size, ec);
+      throw CheckpointError("checkpoint: append failed for " + path +
+                            " (disk full or I/O error?)");
+    }
+  }
+  tail->size += body.size() + end_line.size();
+  tail->hash = CheckpointChecksumContinue(checksum, end_line);
 }
 
 std::string_view VerifyChecksummedBody(std::string_view contents,

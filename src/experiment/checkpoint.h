@@ -92,14 +92,42 @@ void WriteCheckpoint(const std::string& path, const Checkpoint& checkpoint);
 /// content-address hash of the serve result cache).
 [[nodiscard]] std::uint64_t CheckpointChecksum(std::string_view bytes) noexcept;
 
+/// Continues an FNV-1a 64-bit hash whose state after the bytes hashed so
+/// far is `state` (an FNV-1a state is the hash of those bytes) over
+/// `bytes`: CheckpointChecksumContinue(CheckpointChecksum(a), b) ==
+/// CheckpointChecksum(a + b). Lets an append hash only what it appends.
+[[nodiscard]] std::uint64_t CheckpointChecksumContinue(
+    std::uint64_t state, std::string_view bytes) noexcept;
+
+/// The committed end of a checksummed file: its length in bytes and the
+/// FNV-1a state over all of them, trailing "end" line included. An append
+/// continues from here.
+struct ChecksummedTail {
+  std::uint64_t size = 0;
+  std::uint64_t hash = 0;
+};
+
 /// Atomically (tmp + rename) publishes `body` followed by a trailing
 /// "end <fnv1a64-hex>\n" checksum line at `path` — the write half of the
 /// checkpoint line format, shared by campaign checkpoints and the serve
 /// result cache (serve/result_cache.h). Instrumented at the
 /// "checkpoint.write" fault-injection site; on any failure (real or
 /// injected) the tmp file is removed, any previous file at `path` is left
-/// intact, and CheckpointError is thrown.
-void WriteChecksummedFile(const std::string& path, std::string_view body);
+/// intact, and CheckpointError is thrown. Returns the new file's tail.
+ChecksummedTail WriteChecksummedFile(const std::string& path,
+                                     std::string_view body);
+
+/// Appends `body` followed by an "end <fnv1a64-hex>\n" line to the
+/// checksummed file at `path`, whose committed bytes `*tail` describes.
+/// The new checksum covers every preceding byte of the file, earlier end
+/// lines included, so the grown file still passes VerifyChecksummedBody.
+/// Only the appended bytes are hashed. Instrumented at the
+/// "checkpoint.write" site; on any failure (real or injected) the file is
+/// truncated back to tail->size, byte-identical to before, `*tail` is
+/// unchanged and CheckpointError is thrown. On success `*tail` describes
+/// the grown file.
+void AppendChecksummedFile(const std::string& path, std::string_view body,
+                           ChecksummedTail* tail);
 
 /// Verifies and strips the trailing "end <checksum>" line of a file's
 /// contents: returns the checksummed body on success, throws

@@ -1,6 +1,8 @@
 #include "serve/query_service.h"
 
 #include <exception>
+#include <map>
+#include <string_view>
 
 #include "core/opt/epsilon_constraint.h"
 #include "experiment/checkpoint.h"
@@ -238,7 +240,7 @@ bool QueryService::Flush() {
   if (options_.cache_path.empty()) return true;
   const std::lock_guard<std::mutex> lock(persist_mutex_);
   try {
-    cache_.Save(options_.cache_path);
+    cache_.Persist(options_.cache_path);
     return true;
   } catch (const experiment::CheckpointError&) {
     // Same contract as campaign checkpoints: a failed persist never aborts
@@ -253,20 +255,25 @@ void QueryService::CountBusyRejected(std::uint64_t count) {
   busy_rejected_.fetch_add(count, std::memory_order_relaxed);
 }
 
-std::string QueryService::Answer(const std::string& line) {
+std::string QueryService::Admit(const std::string& line, Request* request,
+                                std::string* reply) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  Request request;
   try {
-    request = ParseRequest(line);
+    *request = ParseRequest(line);
   } catch (const ProtocolError& e) {
     parse_errors_.fetch_add(1, std::memory_order_relaxed);
-    return ErrorResponse(e.what());
+    *reply = ErrorResponse(e.what());
+    return {};
   }
-  if (request.verb == Verb::kStats) {
-    return StatsResponse();
+  if (request->verb == Verb::kStats) {
+    *reply = StatsResponse();
+    return {};
   }
+  return CanonicalKey(*request, options_.version_tag);
+}
 
-  const std::string key = CanonicalKey(request, options_.version_tag);
+std::string QueryService::Resolve(const Request& request,
+                                  const std::string& key) {
   {
     const std::string cached = cache_.Lookup(key);
     if (!cached.empty()) {
@@ -294,6 +301,13 @@ std::string QueryService::Answer(const std::string& line) {
   return payload;
 }
 
+std::string QueryService::Answer(const std::string& line) {
+  Request request;
+  std::string reply;
+  const std::string key = Admit(line, &request, &reply);
+  return key.empty() ? reply : Resolve(request, key);
+}
+
 std::vector<std::string> QueryService::AnswerBatch(
     const std::vector<std::string>& lines) {
   std::vector<std::string> responses(lines.size());
@@ -302,9 +316,30 @@ std::vector<std::string> QueryService::AnswerBatch(
     responses[0] = Answer(lines[0]);
     return responses;
   }
+  // Admit the whole batch first so that a key repeated within it resolves
+  // once: first[i] is the index whose reply line i shares.
+  std::vector<Request> requests(lines.size());
+  std::vector<std::string> keys(lines.size());
+  std::vector<std::size_t> first(lines.size());
+  std::vector<std::size_t> to_resolve;
+  std::map<std::string_view, std::size_t> first_by_key;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    keys[i] = Admit(lines[i], &requests[i], &responses[i]);
+    first[i] = keys[i].empty()
+                   ? i
+                   : first_by_key.emplace(keys[i], i).first->second;
+    if (first[i] == i && !keys[i].empty()) to_resolve.push_back(i);
+  }
   util::ThreadPool::Shared().ParallelFor(
-      lines.size(), /*chunk=*/1, options_.threads,
-      [&](std::size_t i) { responses[i] = Answer(lines[i]); });
+      to_resolve.size(), /*chunk=*/1, options_.threads, [&](std::size_t j) {
+        const std::size_t i = to_resolve[j];
+        responses[i] = Resolve(requests[i], keys[i]);
+      });
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (first[i] == i) continue;
+    responses[i] = responses[first[i]];
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  }
   return responses;
 }
 

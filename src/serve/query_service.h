@@ -87,7 +87,9 @@ class QueryService {
 
   /// Answers a batch via the shared pool (at most options.threads active
   /// workers). results[i] is Answer(lines[i]); the vector is bit-identical
-  /// for any thread count.
+  /// for any thread count. Requests that share a canonical key compute at
+  /// most once per batch: repeats get the first one's bytes and count as
+  /// cache hits.
   [[nodiscard]] std::vector<std::string> AnswerBatch(
       const std::vector<std::string>& lines);
 
@@ -97,9 +99,10 @@ class QueryService {
 
   [[nodiscard]] ServiceStats Stats() const;
 
-  /// Persists the cache now if a path is configured. Returns false (and
-  /// counts a persist failure) when the write fails; the daemon keeps
-  /// serving from memory.
+  /// Persists the cache now if a path is configured: appends the entries
+  /// stored since the last persist to the cache journal, or compacts it
+  /// (ResultCache::Persist). Returns false (and counts a persist failure)
+  /// when the write fails; the daemon keeps serving from memory.
   bool Flush();
 
   [[nodiscard]] const ServiceOptions& Options() const noexcept {
@@ -110,6 +113,14 @@ class QueryService {
   [[nodiscard]] std::string ComputeWhatIf(const Request& request) const;
   [[nodiscard]] std::string ComputeOptimize(const Request& request) const;
   [[nodiscard]] std::string StatsResponse() const;
+  /// Parses and counts `line`. Returns its canonical cache key, or an
+  /// empty key with `*reply` set for a line the cache does not answer (a
+  /// parse error or the stats verb).
+  [[nodiscard]] std::string Admit(const std::string& line, Request* request,
+                                  std::string* reply);
+  /// Answers an admitted request: lookup, compute on a miss, store.
+  [[nodiscard]] std::string Resolve(const Request& request,
+                                    const std::string& key);
   void StoreAndMaybePersist(const std::string& key,
                             const std::string& payload);
 
@@ -128,7 +139,7 @@ class QueryService {
   std::uint64_t warm_loaded_ = 0;
   std::uint64_t corrupt_dropped_ = 0;
 
-  /// Serializes Save() calls and the stores-since-persist counter.
+  /// Serializes cache persists and the stores-since-persist counter.
   std::mutex persist_mutex_;
   std::size_t stores_since_persist_ = 0;
 };

@@ -12,25 +12,53 @@
 // compare, so even a hash collision can only cause a miss, never a wrong
 // answer.
 //
-// Persistence reuses the campaign checkpoint line format (version 1,
-// line-based text, LF endings, atomic tmp+rename publish through
-// experiment::WriteChecksummedFile — which also means the cache backend
-// shares the "checkpoint.write" fault-injection site, so the torn-write
-// drills apply unchanged):
+// Persistence reuses the campaign checkpoint line format (line-based
+// text, LF endings, FNV-1a-64 checksum lines) and its writers in
+// experiment/checkpoint.h, so the cache shares the "checkpoint.write"
+// fault-injection site and the torn-write drills apply unchanged. The
+// file is an append-only journal: a header, then one or more commits.
 //
-//   wsnlink-servecache 1
+//   wsnlink-servecache 2
 //   version_tag <tag>
-//   entries <N>
-//   entry <key-fnv1a-hex16> <payload-fnv1a-hex16> <key> <payload>   (N lines)
-//   end <fnv1a64-hex of every preceding byte>
+//   entries <k>                                               (commit 1)
+//   entry <key-fnv1a-hex16> <payload-fnv1a-hex16> <key> <payload>
+//   ...                                      (k entry lines, sorted by key)
+//   end <fnv1a64-hex of every preceding byte of the file>
+//   entries <k2> ... end <...>                           (commit 2, ...)
 //
-// Load is two-tier: a file whose trailing checksum verifies is parsed
-// strictly; a file that fails it (bit rot, torn tail) drops to per-entry
-// salvage — every `entry` line whose own key hash and payload checksum
-// verify is kept, damaged lines are counted and dropped. One flipped byte
-// therefore costs exactly the damaged entry (a recompute), never the cache
-// and never a corrupt answer. A version-tag mismatch discards the whole
-// file (the invalidation rule: old answers may be wrong under new code).
+// A one-commit file is exactly what Save writes; version 1 files (the
+// pre-journal format) are read as one-commit files. Because each end line
+// hashes every byte before it, earlier end lines included, the final end
+// line alone authenticates the whole file and the unchanged
+// experiment::VerifyChecksummedBody verifies a journal of any length.
+//
+// Writing: Save compacts — all entries as one commit, published atomically
+// by tmp + rename. Persist appends one commit holding only the entries
+// stored since the last persist, provided the file at the path is the
+// journal this cache last wrote or strictly loaded (same path, same
+// committed length). Anything else compacts instead: no file yet, a
+// salvaged, invalidated, version-1 or cap-trimmed load, or any FIFO
+// eviction since the journal was last in sync — so after an eviction the
+// file again holds exactly the survivors. Without evictions the journal
+// never holds a dead entry, so it needs no growth heuristic. An append
+// hashes only the new bytes, continuing the running FNV-1a state. A failed
+// append (real or injected) truncates the file back to its last committed
+// length, leaving it byte-identical to before; the entries stay pending
+// and the next persist retries them.
+//
+// Load is two-tier and hashes the file exactly once. A file whose final
+// checksum verifies is parsed strictly, commit by commit; its per-entry
+// checksums are already covered by that final one and are not re-hashed,
+// and the running hash for later appends is seeded from the verified end
+// line's stored checksum plus that line itself. A file that fails it (bit
+// rot, a torn append) drops to per-entry salvage — every `entry` line
+// whose own key hash and payload checksum verify is kept, damaged lines
+// are counted and dropped. One flipped byte therefore costs exactly the damaged entry (a
+// recompute), never the cache and never a corrupt answer; a torn final
+// commit costs at most its damaged line, and the next persist compacts the
+// salvaged set into a strictly verifying file. A version-tag mismatch
+// discards the whole file (the invalidation rule: old answers may be
+// wrong under new code).
 //
 // Bounding: an optional entry cap turns the cache into a FIFO — when a
 // Store would exceed the cap, the oldest-inserted entries are evicted
@@ -52,9 +80,11 @@
 #include <string>
 #include <string_view>
 
+#include "experiment/checkpoint.h"
+
 namespace wsnlink::serve {
 
-inline constexpr int kCacheFormatVersion = 1;
+inline constexpr int kCacheFormatVersion = 2;
 
 /// Outcome of warming a cache from disk.
 struct CacheLoadReport {
@@ -102,22 +132,37 @@ class ResultCache {
     return max_entries_;
   }
 
-  /// Serializes every entry (ordered by key: deterministic bytes) and
-  /// atomically publishes it to `path` via the checkpoint writer. Throws
-  /// experiment::CheckpointError on failure (injected or real); the
-  /// previous file is left intact in that case.
-  void Save(const std::string& path) const;
+  /// Compacts: serializes every entry (ordered by key: deterministic
+  /// bytes) as one commit and atomically publishes it to `path` via the
+  /// checkpoint writer. Throws experiment::CheckpointError on failure
+  /// (injected or real); the previous file is left intact in that case.
+  /// On success `path` becomes this cache's journal.
+  void Save(const std::string& path);
+
+  /// Persists every entry stored since the last Save/Persist/Load: appends
+  /// them as one commit when `path` holds this cache's journal, and
+  /// compacts through Save otherwise (see the file comment). Does nothing
+  /// when the journal is already in sync. Throws
+  /// experiment::CheckpointError on failure; a failed append leaves the
+  /// file byte-identical to before and the entries pending.
+  void Persist(const std::string& path);
 
   /// Warms the cache from `path`, replacing the in-memory contents. Never
   /// throws on corruption: damaged state degrades to fewer warm entries
   /// (see the report), because a cache can always be rebuilt by
-  /// recomputing.
+  /// recomputing. Save, Persist and Load must not overlap one another;
+  /// Lookup and Store may run concurrently with any of them.
   CacheLoadReport Load(const std::string& path);
 
   /// FNV-1a hex address of a canonical key (exposed for tests/tools).
   [[nodiscard]] static std::string KeyHashHex(std::string_view key);
 
  private:
+  /// Writes the journal at `path`: appends the unsynced entries as one
+  /// commit when `append` is set and `path` holds this cache's journal,
+  /// compacts otherwise.
+  void WriteJournal(const std::string& path, bool append);
+
   /// Drops oldest-inserted entries until the cap holds. Caller holds
   /// mutex_. Returns how many entries were evicted.
   std::size_t EvictOverCapLocked();
@@ -127,8 +172,14 @@ class ResultCache {
   mutable std::mutex mutex_;
   std::map<std::string, std::string> entries_;
   /// Keys in insertion order, oldest first; rebuilt (in key order) by Load.
-  // wsnstatic:transient(insertion_order_): not persisted; Load re-anchors it to the file's key order, which Save guarantees by serializing in key order
+  /// Its last `unsynced_` keys are the entries the journal still lacks.
   std::deque<std::string> insertion_order_;
+  /// Entries stored since the journal was last in sync.
+  std::size_t unsynced_ = 0;
+  /// The file this cache last wrote or strictly loaded, empty when none
+  /// (the next Persist compacts), and that file's committed tail.
+  std::string journal_path_;
+  experiment::ChecksummedTail journal_tail_;
   // wsnstatic:transient(evictions_): process-lifetime telemetry, deliberately reset by a reload
   std::uint64_t evictions_ = 0;
 };

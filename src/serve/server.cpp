@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -50,6 +51,12 @@ ssize_t SendChunk(int fd, const char* data, std::size_t size) {
 }
 
 }  // namespace
+
+void ConfigureAcceptedSocket(int fd) {
+  SetNonBlocking(fd);
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
 
 Server::Server(QueryService& service, ServerOptions options)
     : service_(service), options_(options) {
@@ -119,7 +126,7 @@ void Server::AcceptNew() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return;  // EAGAIN or transient error: try next cycle
-    SetNonBlocking(fd);
+    ConfigureAcceptedSocket(fd);
     Connection conn;
     conn.fd = fd;
     connections_.push_back(std::move(conn));
@@ -180,7 +187,8 @@ bool Server::ReadFrom(std::size_t index, std::vector<std::string>& lines,
 void Server::FlushAllBlocking() {
   for (Connection& conn : connections_) {
     while (conn.fd >= 0 && !conn.out.empty()) {
-      const ssize_t n = SendChunk(conn.fd, conn.out.data(), conn.out.size());
+      const ssize_t n = SendChunk(conn.fd, conn.out.data() + conn.sent,
+                                  conn.out.size() - conn.sent);
       if (n <= 0) {
         if (n < 0 && errno == EINTR) continue;
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -190,7 +198,7 @@ void Server::FlushAllBlocking() {
         }
         break;
       }
-      conn.out.erase(0, static_cast<std::size_t>(n));
+      conn.Consume(static_cast<std::size_t>(n));
     }
   }
 }
@@ -269,9 +277,10 @@ void Server::Run() {
     for (std::size_t i = 0; i < connections_.size(); ++i) {
       Connection& conn = connections_[i];
       while (!conn.out.empty()) {
-        const ssize_t n = SendChunk(conn.fd, conn.out.data(), conn.out.size());
+        const ssize_t n = SendChunk(conn.fd, conn.out.data() + conn.sent,
+                                    conn.out.size() - conn.sent);
         if (n > 0) {
-          conn.out.erase(0, static_cast<std::size_t>(n));
+          conn.Consume(static_cast<std::size_t>(n));
           continue;
         }
         if (n < 0 && errno == EINTR) continue;

@@ -42,6 +42,12 @@ struct ServerOptions {
   std::uint64_t abort_after = 0;
 };
 
+/// Readies an accepted connection socket: nonblocking, and with Nagle's
+/// algorithm off (TCP_NODELAY) so that a reply written while an earlier
+/// one is unacknowledged goes out at once instead of waiting for the
+/// peer's delayed ACK.
+void ConfigureAcceptedSocket(int fd);
+
 /// Line-protocol TCP front end over a QueryService.
 class Server {
  public:
@@ -67,8 +73,25 @@ class Server {
     int fd = -1;
     /// Bytes received but not yet framed into complete lines.
     std::string in;
-    /// Reply bytes not yet written to the socket.
+    /// Reply bytes; out[sent, out.size()) is not yet written to the socket.
     std::string out;
+    /// Bytes of `out` already written. The consumed prefix is dropped when
+    /// the buffer drains (or is more than half consumed), so a run of
+    /// partial sends costs time linear in the bytes sent, not quadratic in
+    /// the backlog.
+    std::size_t sent = 0;
+
+    /// Marks `n` more reply bytes as written.
+    void Consume(std::size_t n) {
+      sent += n;
+      if (sent == out.size()) {
+        out.clear();
+        sent = 0;
+      } else if (sent > out.size() / 2) {
+        out.erase(0, sent);
+        sent = 0;
+      }
+    }
     /// True while discarding an overlong (unterminated) request line; the
     /// error reply is emitted when its newline finally arrives.
     bool discarding = false;

@@ -202,6 +202,44 @@ TEST(Checkpoint, CorruptionFuzzNeverCrashesOrMisparses) {
   std::filesystem::remove(path);
 }
 
+TEST(Checkpoint, ChecksumContinueMatchesOneShotHash) {
+  const std::string a = "wsnlink-servecache 2\nversion_tag t\n";
+  const std::string b = "entries 1\nentry x\n";
+  EXPECT_EQ(CheckpointChecksumContinue(CheckpointChecksum(a), b),
+            CheckpointChecksum(a + b));
+  EXPECT_EQ(CheckpointChecksumContinue(CheckpointChecksum(a), ""),
+            CheckpointChecksum(a));
+}
+
+TEST(Checkpoint, AppendedCommitStillVerifies) {
+  const std::string path = TempPath("wsn_ckpt_append.txt");
+  ChecksummedTail tail = WriteChecksummedFile(path, "header\nfirst\n");
+  const std::string written = ReadFile(path);
+  EXPECT_EQ(tail.size, written.size());
+  EXPECT_EQ(tail.hash, CheckpointChecksum(written));
+
+  AppendChecksummedFile(path, "second\n", &tail);
+  const std::string grown = ReadFile(path);
+  EXPECT_EQ(grown.compare(0, written.size(), written), 0);
+  EXPECT_EQ(tail.size, grown.size());
+  EXPECT_EQ(tail.hash, CheckpointChecksum(grown));
+  // The final end line covers every earlier byte, the first end included.
+  EXPECT_EQ(VerifyChecksummedBody(grown, path), written + "second\n");
+
+  // A failed append rolls the file back and leaves the tail untouched.
+  const ChecksummedTail before = tail;
+  {
+    util::ScopedFaultInjection injection;
+    injection->FailNth("checkpoint.write", 0);
+    EXPECT_THROW(AppendChecksummedFile(path, "third\n", &tail),
+                 CheckpointError);
+  }
+  EXPECT_EQ(ReadFile(path), grown);
+  EXPECT_EQ(tail.size, before.size);
+  EXPECT_EQ(tail.hash, before.hash);
+  std::filesystem::remove(path);
+}
+
 TEST(CampaignResume, InterruptedRunResumesBitIdentical) {
   const std::string ref_csv = TempPath("wsn_resume_ref.csv");
   const std::string resumed_csv = TempPath("wsn_resume_out.csv");

@@ -16,10 +16,19 @@
 namespace wsnlink::core::models {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// carries an explicit zeroed word where the compiler would otherwise leave
+// four uninitialised padding bytes; the case names are then the same in
+// every build.
 struct GridPoint {
+  GridPoint(int payload_bytes, double snr) : payload(payload_bytes), snr_db(snr) {}
+
   int payload;
+  int reserved = 0;
   double snr_db;
 };
+static_assert(sizeof(GridPoint) == sizeof(int) * 2 + sizeof(double),
+              "GridPoint must have no padding bytes");
 
 class ModelGrid : public ::testing::TestWithParam<GridPoint> {};
 

@@ -280,6 +280,250 @@ TEST(ServeCache, LoadAppliesCapDeterministically) {
 }
 
 // ---------------------------------------------------------------------------
+// Append-only journal
+// ---------------------------------------------------------------------------
+
+std::string Payload(int value) {
+  return "{\"status\":\"ok\",\"value\":" + std::to_string(value) + "}";
+}
+
+// Stores key|first .. key|(first+count-1).
+void StoreRange(ResultCache& cache, int first, int count) {
+  for (int i = first; i < first + count; ++i) {
+    cache.Store("key|" + std::to_string(i), Payload(i * 10));
+  }
+}
+
+std::size_t CountLinesStartingWith(const std::string& text,
+                                   const std::string& prefix) {
+  std::size_t count = 0;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.compare(0, prefix.size(), prefix) == 0) ++count;
+  }
+  return count;
+}
+
+TEST(ServeCache, PersistAppendsOneCommitPerCall) {
+  const std::string path = TempPath("journal3");
+  std::remove(path.c_str());
+  ResultCache cache(kTag);
+  StoreRange(cache, 0, 2);
+  cache.Persist(path);  // no file yet: compacts
+  const std::string first = ReadFile(path);
+  StoreRange(cache, 2, 3);
+  cache.Persist(path);
+  const std::string second = ReadFile(path);
+  StoreRange(cache, 5, 1);
+  cache.Persist(path);
+  const std::string third = ReadFile(path);
+
+  // Each persist appended to the previous bytes; nothing was rewritten.
+  EXPECT_EQ(second.compare(0, first.size(), first), 0);
+  EXPECT_EQ(third.compare(0, second.size(), second), 0);
+  EXPECT_EQ(CountLinesStartingWith(third, "entries "), 3u);
+  EXPECT_EQ(CountLinesStartingWith(third, "end "), 3u);
+  // Persisting with nothing new writes nothing.
+  cache.Persist(path);
+  EXPECT_EQ(ReadFile(path), third);
+
+  ResultCache loaded(kTag);
+  const CacheLoadReport report = loaded.Load(path);
+  EXPECT_FALSE(report.salvaged);
+  EXPECT_EQ(report.corrupt_dropped, 0u);
+  EXPECT_EQ(report.loaded, 6u);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(loaded.Lookup("key|" + std::to_string(i)), Payload(i * 10));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ServeCache, LoadedJournalKeepsAppending) {
+  const std::string path = TempPath("journalreload");
+  std::remove(path.c_str());
+  {
+    ResultCache cache(kTag);
+    StoreRange(cache, 0, 3);
+    cache.Persist(path);
+    StoreRange(cache, 3, 2);
+    cache.Persist(path);
+  }
+  const std::string before = ReadFile(path);
+
+  // A strictly loaded journal is appended to, and its running hash was
+  // seeded from the stored checksum: the grown file still verifies.
+  ResultCache warm(kTag);
+  ASSERT_FALSE(warm.Load(path).salvaged);
+  StoreRange(warm, 5, 1);
+  warm.Persist(path);
+  const std::string after = ReadFile(path);
+  EXPECT_EQ(after.compare(0, before.size(), before), 0);
+  EXPECT_NO_THROW((void)experiment::VerifyChecksummedBody(after, path));
+
+  ResultCache reloaded(kTag);
+  const CacheLoadReport report = reloaded.Load(path);
+  EXPECT_FALSE(report.salvaged);
+  EXPECT_EQ(report.loaded, 6u);
+  std::remove(path.c_str());
+}
+
+TEST(ServeCache, TornFinalCommitSalvagesCommittedEntriesThenCompacts) {
+  const std::string path = TempPath("tornjournal");
+  std::remove(path.c_str());
+  {
+    ResultCache cache(kTag);
+    StoreRange(cache, 0, 3);
+    cache.Persist(path);
+    StoreRange(cache, 3, 2);
+    cache.Persist(path);
+  }
+  // Tear the final commit mid-way through its last entry line.
+  std::string contents = ReadFile(path);
+  contents.resize(contents.rfind("entry ") + 10);
+  WriteFile(path, contents);
+
+  ResultCache loaded(kTag);
+  const CacheLoadReport report = loaded.Load(path);
+  EXPECT_TRUE(report.salvaged);
+  EXPECT_GE(report.corrupt_dropped, 1u);
+  // Every entry of the intact first commit survives (and so does the
+  // complete line of the torn one).
+  EXPECT_EQ(report.loaded, 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(loaded.Lookup("key|" + std::to_string(i)), Payload(i * 10));
+  }
+
+  // A salvaged load is not a journal: the next persist compacts it into a
+  // strictly verifying file holding exactly the salvaged set.
+  loaded.Persist(path);
+  const std::string compacted = ReadFile(path);
+  EXPECT_NO_THROW((void)experiment::VerifyChecksummedBody(compacted, path));
+  EXPECT_EQ(CountLinesStartingWith(compacted, "entries "), 1u);
+  ResultCache reloaded(kTag);
+  const CacheLoadReport second = reloaded.Load(path);
+  EXPECT_FALSE(second.salvaged);
+  EXPECT_EQ(second.corrupt_dropped, 0u);
+  EXPECT_EQ(second.loaded, 4u);
+  std::remove(path.c_str());
+}
+
+TEST(ServeCache, FailedAppendLeavesFileByteIdenticalAndRetries) {
+  const std::string path = TempPath("failedappend");
+  std::remove(path.c_str());
+  ResultCache cache(kTag);
+  StoreRange(cache, 0, 2);
+  cache.Persist(path);
+  const std::string before = ReadFile(path);
+
+  StoreRange(cache, 2, 1);
+  {
+    util::ScopedFaultInjection injection;
+    injection->FailNth("checkpoint.write", 0);
+    EXPECT_THROW(cache.Persist(path), experiment::CheckpointError);
+  }
+  // The failed append was truncated away.
+  EXPECT_EQ(ReadFile(path), before);
+
+  // The pending entry is retried by the next persist, as an append.
+  cache.Persist(path);
+  const std::string after = ReadFile(path);
+  EXPECT_EQ(after.compare(0, before.size(), before), 0);
+  EXPECT_EQ(CountLinesStartingWith(after, "entries "), 2u);
+  ResultCache loaded(kTag);
+  const CacheLoadReport report = loaded.Load(path);
+  EXPECT_FALSE(report.salvaged);
+  EXPECT_EQ(report.loaded, 3u);
+  EXPECT_EQ(loaded.Lookup("key|2"), Payload(20));
+  std::remove(path.c_str());
+}
+
+TEST(ServeCache, JournalLoadSaveIsByteIdenticalToSaveOfSameSet) {
+  const std::string journal_path = TempPath("journalsave");
+  const std::string resaved_path = TempPath("journalresaved");
+  const std::string direct_path = TempPath("journaldirect");
+  std::remove(journal_path.c_str());
+  {
+    ResultCache cache(kTag);
+    StoreRange(cache, 4, 2);
+    cache.Persist(journal_path);
+    StoreRange(cache, 0, 3);
+    cache.Persist(journal_path);
+    StoreRange(cache, 3, 1);
+    cache.Persist(journal_path);
+  }
+  ResultCache loaded(kTag);
+  ASSERT_FALSE(loaded.Load(journal_path).salvaged);
+  loaded.Save(resaved_path);
+
+  ResultCache direct(kTag);
+  StoreRange(direct, 0, 6);
+  direct.Save(direct_path);
+  EXPECT_EQ(ReadFile(resaved_path), ReadFile(direct_path));
+  std::remove(journal_path.c_str());
+  std::remove(resaved_path.c_str());
+  std::remove(direct_path.c_str());
+}
+
+TEST(ServeCache, EvictingCacheWarmStartsWithExactlyItsSurvivors) {
+  const std::string path = TempPath("evictjournal");
+  const std::string survivors_path = TempPath("evictsurvivors");
+  std::remove(path.c_str());
+  {
+    ResultCache capped(kTag, /*max_entries=*/2);
+    for (int i = 0; i < 5; ++i) {
+      StoreRange(capped, i, 1);  // from key|2 on, each store evicts one
+      capped.Persist(path);
+    }
+  }
+  ResultCache warm(kTag, /*max_entries=*/2);
+  const CacheLoadReport report = warm.Load(path);
+  EXPECT_FALSE(report.salvaged);
+  EXPECT_EQ(report.loaded, 2u);
+  EXPECT_EQ(report.cap_evicted, 0u);
+  EXPECT_EQ(warm.Lookup("key|3"), Payload(30));
+  EXPECT_EQ(warm.Lookup("key|4"), Payload(40));
+  EXPECT_EQ(warm.Lookup("key|2"), "");
+
+  // After an eviction the persist compacted: the file is exactly the one
+  // an uncapped cache holding the survivors would write.
+  ResultCache survivors(kTag);
+  StoreRange(survivors, 3, 2);
+  survivors.Save(survivors_path);
+  EXPECT_EQ(ReadFile(path), ReadFile(survivors_path));
+  std::remove(path.c_str());
+  std::remove(survivors_path.c_str());
+}
+
+TEST(ServeCache, VersionOneFileStillLoads) {
+  const std::string path = TempPath("version1");
+  SaveCacheWithEntries(3, path);
+  // Rewrite the header as the pre-journal format wrote it.
+  const std::string v2 = ReadFile(path);
+  std::string body = v2.substr(0, v2.rfind("end "));
+  const std::string v2_magic = "wsnlink-servecache 2\n";
+  ASSERT_EQ(body.compare(0, v2_magic.size(), v2_magic), 0);
+  body.replace(0, v2_magic.size(), "wsnlink-servecache 1\n");
+  experiment::WriteChecksummedFile(path, body);
+
+  ResultCache loaded(kTag);
+  const CacheLoadReport report = loaded.Load(path);
+  EXPECT_FALSE(report.salvaged);
+  EXPECT_FALSE(report.invalidated);
+  EXPECT_EQ(report.corrupt_dropped, 0u);
+  EXPECT_EQ(report.loaded, 3u);
+  EXPECT_EQ(loaded.Lookup("key|2"), Payload(20));
+
+  // A version-1 file is never appended to: the next persist upgrades it.
+  StoreRange(loaded, 3, 1);
+  loaded.Persist(path);
+  const std::string upgraded = ReadFile(path);
+  EXPECT_EQ(upgraded.compare(0, v2_magic.size(), v2_magic), 0);
+  EXPECT_EQ(CountLinesStartingWith(upgraded, "entries "), 1u);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end through QueryService
 // ---------------------------------------------------------------------------
 
@@ -366,6 +610,32 @@ TEST(ServeCache, CorruptPersistedEntryMeansRecomputeNotCorruption) {
   EXPECT_EQ(recomputed, cold_answer);
   EXPECT_EQ(service.Stats().cache_misses, 1u);
   EXPECT_EQ(service.Stats().computed_what_if, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(ServeCache, ServiceMissPersistsOnlyItsOwnCommit) {
+  constexpr const char* kOtherLine =
+      "{\"verb\":\"what_if\",\"distance_m\":20,\"pa_level\":31,"
+      "\"payload_bytes\":50,\"packets\":60,\"seed\":12}";
+  const std::string path = TempPath("servicejournal");
+  std::remove(path.c_str());
+
+  ServiceOptions options;
+  options.cache_path = path;
+  {
+    QueryService service(options);
+    (void)service.Answer(kWhatIfLine);
+  }
+  const std::string before = ReadFile(path);
+
+  QueryService warmed(options);
+  const std::string answer = warmed.Answer(kOtherLine);
+  const std::string after = ReadFile(path);
+  // The miss appended one commit holding just its entry.
+  ASSERT_EQ(after.compare(0, before.size(), before), 0);
+  const std::string commit = after.substr(before.size());
+  EXPECT_EQ(commit.find("entries 1\nentry "), 0u) << commit;
+  EXPECT_LT(commit.size(), answer.size() + 512);
   std::remove(path.c_str());
 }
 

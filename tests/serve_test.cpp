@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -218,6 +220,22 @@ TEST(ServeService, StatsVerbReportsCounters) {
   EXPECT_NE(reply.find("\"cache_entries\":1"), std::string::npos) << reply;
 }
 
+TEST(ServeService, DuplicateKeysInOneBatchComputeOnce) {
+  ServiceOptions options;
+  options.threads = 4;
+  QueryService service(options);
+  const std::vector<std::string> replies =
+      service.AnswerBatch(std::vector<std::string>(4, kWhatIfLine));
+  ASSERT_EQ(replies.size(), 4u);
+  EXPECT_NE(replies[0].find("\"status\":\"ok\""), std::string::npos);
+  for (const std::string& reply : replies) EXPECT_EQ(reply, replies[0]);
+  const auto stats = service.Stats();
+  EXPECT_EQ(stats.computed_what_if, 1u);
+  EXPECT_EQ(stats.requests, 4u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 3u);
+}
+
 TEST(ServeService, ServingSpaceIsValidAndTableIShaped) {
   const auto space = serve::ServingSpace(20.0, 100.0);
   EXPECT_NO_THROW(space.Validate());
@@ -290,6 +308,34 @@ struct RunningServer {
   serve::Server server;
   std::thread thread;
 };
+
+TEST(ServeServer, AcceptedSocketsDisableNagle) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = ::htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr), len),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  TestClient client(::ntohs(addr.sin_port));
+  const int accepted = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(accepted, 0);
+
+  serve::ConfigureAcceptedSocket(accepted);
+  int nodelay = 0;
+  socklen_t optlen = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &optlen),
+            0);
+  EXPECT_NE(nodelay, 0);
+  EXPECT_NE(::fcntl(accepted, F_GETFL, 0) & O_NONBLOCK, 0);
+  ::close(accepted);
+  ::close(listener);
+}
 
 TEST(ServeServer, AnswersMixedRequestsOverLoopback) {
   QueryService service(ServiceOptions{});
