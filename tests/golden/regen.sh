@@ -1,10 +1,12 @@
 #!/usr/bin/env sh
-# Regenerates tests/golden/campaign_summary.csv and serve_responses.txt
-# after an *intentional* behaviour change (channel calibration, MAC
+# Regenerates tests/golden/campaign_summary.csv, serve_responses.txt and the
+# contention ladders (contention_n1.csv, contention_ladder_csma.csv,
+# contention_ladder_lpl.csv) after an *intentional* behaviour change (channel calibration, MAC
 # timing, metric definitions, serve protocol/response schema).
 #
-# The files are byte-compared by Golden.CampaignSummaryCsvMatchesCheckedInFile
-# and ServeGolden.TraceResponsesMatchCheckedInFile, so never refresh them
+# The files are byte-compared by Golden.CampaignSummaryCsvMatchesCheckedInFile,
+# Golden.ContentionLaddersMatchCheckedInFiles and
+# ServeGolden.TraceResponsesMatchCheckedInFile, so never refresh them
 # to silence a failing test without understanding why the numbers moved —
 # review the diff like any other calibration change. A serve-response
 # change that affects answers also needs a kServeVersionTag bump
@@ -41,6 +43,20 @@ cmake --build "$BUILD" --target wsnlink_client
   --trace "$ROOT/tests/golden/serve_trace.txt" \
   --out "$SERVE_GOLDEN"
 
+# Contention goldens: the N=1 rung (byte-identical to a single link) and a
+# node ladder per MAC, the multi-node runs on the shared medium.
+CONTENTION="$ROOT/tests/golden/contention_n1.csv"
+LADDER_CSMA="$ROOT/tests/golden/contention_ladder_csma.csv"
+LADDER_LPL="$ROOT/tests/golden/contention_ladder_lpl.csv"
+cmake --build "$BUILD" --target contention_sweep
+"$BUILD/examples/contention_sweep" --nodes 1 --packets 120 --seed 9 \
+  --csv "$CONTENTION"
+"$BUILD/examples/contention_sweep" --nodes 1,2,4,16,64 --packets 120 \
+  --seed 9 --csv "$LADDER_CSMA"
+"$BUILD/examples/contention_sweep" --nodes 1,2,4,16,64 --packets 120 \
+  --seed 9 --mac lpl --csv "$LADDER_LPL"
+
 echo
-git -C "$ROOT" --no-pager diff --stat -- "$GOLDEN" "$SERVE_GOLDEN" || true
-echo "regen.sh: wrote $GOLDEN and $SERVE_GOLDEN — review the diff, then commit deliberately."
+git -C "$ROOT" --no-pager diff --stat -- "$GOLDEN" "$SERVE_GOLDEN" \
+  "$CONTENTION" "$LADDER_CSMA" "$LADDER_LPL" || true
+echo "regen.sh: wrote the campaign, serve and contention goldens — review the diff, then commit deliberately."

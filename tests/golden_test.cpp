@@ -11,8 +11,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "experiment/campaign.h"
+#include "experiment/contention.h"
 #include "metrics/link_metrics.h"
 #include "node/link_simulation.h"
 
@@ -109,6 +111,48 @@ TEST(Golden, CampaignSummaryCsvMatchesCheckedInFile) {
       << "campaign summary drifted; if intentional, refresh "
       << golden_path << " from " << out_path;
   std::remove(out_path.c_str());
+}
+
+// The contention ladders behind tests/golden/contention_*.csv, exactly as
+// `contention_sweep --nodes <ladder> --packets 120 --seed 9 [--mac lpl]
+// --csv FILE` writes them (tests/golden/regen.sh). These pin the bytes of
+// multi-node runs on the shared medium: carrier sense, collisions, capture
+// and the lane order of same-time events all feed the counts.
+std::string ContentionCsv(const std::vector<int>& nodes, node::MacKind mac) {
+  experiment::ContentionOptions options;
+  options.node_counts = nodes;
+  options.packet_count = 120;
+  options.base_seed = 9;
+  options.config.distance_m = 20.0;
+  options.config.pkt_interval_ms = 25.0;
+  options.mac = mac;
+  std::string csv = experiment::ContentionCsvHeader() + "\n";
+  for (const auto& point : experiment::RunContentionSweep(options)) {
+    csv += experiment::SerializeContentionRow(point) + "\n";
+  }
+  return csv;
+}
+
+TEST(Golden, ContentionLaddersMatchCheckedInFiles) {
+  struct Case {
+    const char* file;
+    std::vector<int> nodes;
+    node::MacKind mac;
+  };
+  const Case cases[] = {
+      {"contention_n1.csv", {1}, node::MacKind::kCsma},
+      {"contention_ladder_csma.csv", {1, 2, 4, 16, 64}, node::MacKind::kCsma},
+      {"contention_ladder_lpl.csv", {1, 2, 4, 16, 64}, node::MacKind::kLpl},
+  };
+  for (const auto& c : cases) {
+    const std::string golden_path =
+        std::string(WSNLINK_GOLDEN_DIR) + "/" + c.file;
+    const std::string expected = ReadFile(golden_path);
+    ASSERT_FALSE(expected.empty()) << "golden file missing: " << golden_path;
+    EXPECT_EQ(ContentionCsv(c.nodes, c.mac), expected)
+        << "contention ladder drifted from " << golden_path
+        << "; if intentional, rerun tests/golden/regen.sh";
+  }
 }
 
 }  // namespace
