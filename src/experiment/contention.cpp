@@ -30,6 +30,15 @@ std::vector<ContentionPoint> RunContentionSweep(
     }
   }
 
+  // Checked here, before any rung is dispatched: RunNetworkSimulation
+  // rejects the same values, but an exception thrown on a pool worker
+  // cannot reach this caller.
+  if (options.sim_threads != 1) {
+    throw std::invalid_argument(
+        "RunContentionSweep: sim_threads must be 1 (the optimistic parallel "
+        "engine was retired; runs are sequential)");
+  }
+
   std::vector<ContentionPoint> points(options.node_counts.size());
   // Chunk size 1: a rung is a whole network run, orders of magnitude
   // heavier than the dispatch cursor it amortises.

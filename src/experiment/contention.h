@@ -46,10 +46,10 @@ struct ContentionOptions {
   bool disable_interference = true;
   /// Upper bound on concurrent rungs; 0 = the shared pool's full width.
   unsigned threads = 0;
-  /// Worker threads *inside* each network run (the optimistic parallel
-  /// engine, node/timewarp.h). 1 = the sequential kernel; results are
-  /// byte-identical either way, so this is purely a wall-clock knob for
-  /// ladders whose rungs are large. Must be >= 1.
+  /// Retired knob, passed through to NetworkOptions::sim_threads: must be
+  /// 1, and any other value makes the sweep throw. The member survives only
+  /// because perfbench/src/contention.cpp still assigns it; it is removed
+  /// together with that assignment in the next benchmark change.
   int sim_threads = 1;
 };
 

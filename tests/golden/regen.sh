@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Regenerates tests/golden/campaign_summary.csv, serve_responses.txt and the
 # contention ladders (contention_n1.csv, contention_ladder_csma.csv,
-# contention_ladder_lpl.csv) after an *intentional* behaviour change (channel calibration, MAC
-# timing, metric definitions, serve protocol/response schema).
+# contention_ladder_lpl.csv) after an *intentional* behaviour change
+# (channel calibration, MAC timing, metric definitions, serve
+# protocol/response schema).
 #
 # The files are byte-compared by Golden.CampaignSummaryCsvMatchesCheckedInFile,
 # Golden.ContentionLaddersMatchCheckedInFiles and
@@ -59,4 +60,5 @@ cmake --build "$BUILD" --target contention_sweep
 echo
 git -C "$ROOT" --no-pager diff --stat -- "$GOLDEN" "$SERVE_GOLDEN" \
   "$CONTENTION" "$LADDER_CSMA" "$LADDER_LPL" || true
-echo "regen.sh: wrote the campaign, serve and contention goldens — review the diff, then commit deliberately."
+echo "regen.sh: wrote the campaign, serve and contention goldens —" \
+  "review the diff, then commit deliberately."

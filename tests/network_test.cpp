@@ -179,6 +179,27 @@ TEST(NetworkSimulation, RejectsNonPositivePacketCountOverride) {
   EXPECT_THROW(node::RunNetworkSimulation(options), std::invalid_argument);
 }
 
+// sim_threads is a retired knob (the optimistic parallel engine is gone):
+// 1 is its only legal value, and anything else must fail loudly rather
+// than silently run sequentially.
+TEST(NetworkSimulation, RejectsRetiredSimThreads) {
+  for (const int threads : {0, 2}) {
+    auto network =
+        node::UniformNetwork(BaseOptions(), std::vector<double>(2, 20.0));
+    network.sim_threads = threads;
+    EXPECT_THROW(node::RunNetworkSimulation(network), std::invalid_argument)
+        << "sim_threads " << threads;
+
+    experiment::ContentionOptions ladder;
+    ladder.node_counts = {1, 2};
+    ladder.packet_count = 20;
+    ladder.sim_threads = threads;
+    EXPECT_THROW(experiment::RunContentionSweep(ladder),
+                 std::invalid_argument)
+        << "sim_threads " << threads;
+  }
+}
+
 // --- emergent contention ----------------------------------------------
 
 node::SimulationOptions ContendedBase() {

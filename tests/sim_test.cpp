@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event kernel.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -128,6 +129,30 @@ TEST(Simulator, CancelledHeadDoesNotBlockRunUntil) {
   sim.Schedule(10, [&] { later_fired = true; });
   sim.RunUntil(10);
   EXPECT_TRUE(later_fired);
+}
+
+// Same-time events run in (lane, per-lane order), not in scheduling order,
+// and an event's follow-ups inherit its lane. The multi-node contention
+// bytes depend on this order.
+TEST(Simulator, SameTimeEventsOrderByLane) {
+  Simulator sim;
+  sim.ConfigureLanes(3);
+  std::vector<std::pair<Time, int>> log;
+  sim.SetCurrentLane(1);
+  sim.ScheduleAt(10, [&] {
+    log.emplace_back(sim.Now(), 1);
+    sim.Schedule(5, [&] { log.emplace_back(sim.Now(), 11); });
+  });
+  sim.SetCurrentLane(2);
+  sim.ScheduleAt(10, [&] { log.emplace_back(sim.Now(), 2); });
+  sim.ScheduleAt(15, [&] { log.emplace_back(sim.Now(), 22); });
+  sim.SetCurrentLane(0);
+  sim.ScheduleAt(10, [&] { log.emplace_back(sim.Now(), 0); });
+  sim.Run();
+  const std::vector<std::pair<Time, int>> expected = {
+      {10, 0}, {10, 1}, {10, 2}, {15, 11}, {15, 22}};
+  EXPECT_EQ(log, expected);
+  EXPECT_THROW(sim.SetCurrentLane(3), std::invalid_argument);
 }
 
 }  // namespace

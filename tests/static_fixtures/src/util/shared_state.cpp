@@ -1,4 +1,4 @@
-// Fixture: mutable static reachable from an LP root — must be flagged.
+// Fixture: mutable static below an lp-isolation root — must be flagged.
 // The immutable table below it must not be.
 #include "util/shared_state.h"
 

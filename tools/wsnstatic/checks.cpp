@@ -82,14 +82,12 @@ TransientEntry* LookupTransient(TransientMap& map, const std::string& file,
   return nullptr;
 }
 
-/// Shared core of snapshot-complete and serdes-complete: every member of
-/// `cls` must be mentioned in both bodies or carry a transient marker in
-/// the class's own file.
+/// Core of serdes-complete: every member of `cls` must be mentioned in both
+/// bodies or carry a transient marker in the class's own file.
 void CheckRoundTrip(const ClassInfo& cls, const std::string& save_body,
                     const std::string& restore_body,
                     const std::string& save_name,
-                    const std::string& restore_name, const std::string& rule,
-                    const std::string& what, TransientMap& transients,
+                    const std::string& restore_name, TransientMap& transients,
                     std::vector<Finding>* out) {
   for (const Member& member : cls.members) {
     const bool saved = MentionsWord(save_body, member.name);
@@ -110,50 +108,15 @@ void CheckRoundTrip(const ClassInfo& cls, const std::string& save_body,
     } else {
       problem = "is not read back by '" + restore_name + "'";
     }
-    out->push_back({cls.file, member.line, rule,
-                    what + " '" + member.name + "' of '" + cls.name + "' " +
+    out->push_back({cls.file, member.line, "serdes-complete",
+                    "field '" + member.name + "' of '" + cls.name + "' " +
                         problem +
                         "; round-trip it or mark it wsnstatic:transient "
                         "with a reason"});
   }
 }
 
-// --- family 1: snapshot-completeness ----------------------------------------
-
-void CheckSnapshots(const Index& index, TransientMap& transients,
-                    std::vector<Finding>* out) {
-  static const std::vector<std::pair<std::string, std::string>> kPairs = {
-      {"SaveState", "RestoreState"},
-      {"Snapshot", "Restore"},
-  };
-  for (const ClassInfo& cls : index.classes) {
-    for (const auto& [save_name, restore_name] : kPairs) {
-      const bool declares_pair =
-          std::count(cls.method_names.begin(), cls.method_names.end(),
-                     save_name) > 0 &&
-          std::count(cls.method_names.begin(), cls.method_names.end(),
-                     restore_name) > 0;
-      if (!declares_pair) continue;
-      const FunctionInfo* save = index.Method(cls.name, save_name);
-      const FunctionInfo* restore = index.Method(cls.name, restore_name);
-      if (!save || !restore) break;  // defined outside the scanned tree
-      const std::string save_body = BodyText(index, *save);
-      const std::string restore_body = BodyText(index, *restore);
-      // Pure-interface defaults (e.g. the Mac base class's empty no-op
-      // virtuals) are not state carriers; subclasses are checked directly.
-      static const std::regex kBlank(R"(^[\s]*$)");
-      if (std::regex_match(save_body, kBlank) &&
-          std::regex_match(restore_body, kBlank)) {
-        break;
-      }
-      CheckRoundTrip(cls, save_body, restore_body, save_name, restore_name,
-                     "snapshot-complete", "member", transients, out);
-      break;
-    }
-  }
-}
-
-// --- family 1b: declared serialize/parse mirrors ----------------------------
+// --- family 1: declared serialize/parse mirrors ----------------------------
 
 void CheckSerdes(const Index& index, TransientMap& transients,
                  std::vector<Finding>* out) {
@@ -196,8 +159,7 @@ void CheckSerdes(const Index& index, TransientMap& transients,
       }
       CheckRoundTrip(*cls, BodyText(index, *write_fn),
                      BodyText(index, *read_fn), Qualified(*write_fn),
-                     Qualified(*read_fn), "serdes-complete", "field",
-                     transients, out);
+                     Qualified(*read_fn), transients, out);
     }
   }
 }
@@ -287,11 +249,10 @@ void CheckHotPaths(const Index& index, std::vector<Finding>* out) {
   }
 }
 
-// --- family 3: LP isolation ---------------------------------------------------
+// --- family 3: shared-state isolation (rule id lp-isolation) ----------------
 
 bool IsLpRoot(const std::string& path) {
-  return EndsWith(path, "node/timewarp.cpp") ||
-         EndsWith(path, "util/thread_pool.cpp") ||
+  return EndsWith(path, "util/thread_pool.cpp") ||
          EndsWith(path, "experiment/sweep.cpp") ||
          path.find("serve/") != std::string::npos;
 }
@@ -299,8 +260,8 @@ bool IsLpRoot(const std::string& path) {
 void CheckLpIsolation(const Index& index, std::vector<Finding>* out) {
   // Reachability over the include graph, with each header pulling in its
   // same-basename implementation file (calling through the header runs the
-  // .cpp). Roots are the concurrent execution entries: the Time-Warp
-  // engine, the shared worker pool, the sweep worker body, and serve/.
+  // .cpp). Roots are the concurrent execution entries: the shared worker
+  // pool, the sweep worker body, and serve/.
   std::map<std::string, std::size_t> by_path;
   for (std::size_t i = 0; i < index.files.size(); ++i) {
     by_path[index.files[i].path] = i;
@@ -400,9 +361,9 @@ void CheckLpIsolation(const Index& index, std::vector<Finding>* out) {
           {file.path, static_cast<int>(l) + 1, "lp-isolation",
            "mutable static '" + name + "' in a file reachable from '" +
                origin[i] +
-               "'; state shared across logical processes breaks Time-Warp "
-               "rollback isolation — keep it per-LP or justify with "
-               "wsnstatic:allow(lp-isolation)"});
+               "'; state shared across pool/sweep/serve threads races and "
+               "leaks between runs — keep it per-run or per-thread, or "
+               "justify with wsnstatic:allow(lp-isolation)"});
     }
   }
 }
@@ -486,10 +447,6 @@ void ReportTransientProblems(const TransientMap& transients,
 
 const std::vector<RuleInfo>& Rules() {
   static const std::vector<RuleInfo> kRules = {
-      {"snapshot-complete",
-       "every member of a class with a SaveState/RestoreState (or "
-       "Snapshot/Restore) pair is round-tripped or carries a justified "
-       "wsnstatic:transient marker"},
       {"serdes-complete",
        "every field of a struct registered via wsnstatic:serdes(Struct, "
        "WriteFn, ReadFn) is written by WriteFn and read back by ReadFn"},
@@ -498,8 +455,9 @@ const std::vector<RuleInfo>& Rules() {
        "reachable from wsnlint:hot-path roots through the cross-TU call "
        "graph"},
       {"lp-isolation",
-       "no unjustified mutable static state in files reachable from the "
-       "Time-Warp engine, the worker pool, or serve/ handlers"},
+       "no unjustified mutable static state (shared across threads) in "
+       "files reachable from the worker pool, the sweep workers, or serve/ "
+       "handlers"},
       {"layer-dag",
        "quoted includes respect the layer order util < sim/trace < "
        "phy/channel < mac/core < link < app < node < metrics < "
@@ -524,7 +482,6 @@ const std::vector<LayerEscape>& LayerEscapes() {
 std::vector<Finding> CheckIndex(const Index& index) {
   std::vector<Finding> raw;
   TransientMap transients = CollectTransients(index, &raw);
-  CheckSnapshots(index, transients, &raw);
   CheckSerdes(index, transients, &raw);
   CheckHotPaths(index, &raw);
   CheckLpIsolation(index, &raw);

@@ -238,7 +238,7 @@ void ParseClassStatement(const std::string& raw_head, int line,
   }
   // Reference members bind in the constructor and cannot be reseated;
   // const/mutable members are configuration or synchronization, not
-  // logical state — none of them belong in a snapshot.
+  // logical state — none of them belong in a serialized image.
   if (decl.find('&') != std::string::npos) return;
   if (tokens.front() == "const" || tokens.front() == "mutable") return;
 

@@ -32,7 +32,7 @@ struct Include {
 
 /// One data member declaration. Only per-instance mutable state is
 /// recorded: `static`, `const`, `mutable`, and reference members are
-/// skipped (they cannot or need not round-trip through a snapshot).
+/// skipped (they cannot or need not round-trip through a serdes pair).
 struct Member {
   std::string name;
   int line = 0;
@@ -49,7 +49,7 @@ struct ClassInfo {
 
 /// One function *definition* (a body was found).
 struct FunctionInfo {
-  std::string name;        // unqualified, e.g. "SaveState"
+  std::string name;        // unqualified, e.g. "Transmit"
   std::string class_name;  // enclosing/qualifying class; "" = free function
   std::string file;
   int line = 0;                     // 1-based line of the body's open brace
