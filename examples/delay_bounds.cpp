@@ -2,7 +2,7 @@
 // distribution for one configuration — the CLI face of the cross-
 // validation harness (src/validate/).
 //
-//   delay_bounds --distance 25 --pa 31 --payload 110 --tries 3 \
+//   delay_bounds --distance 25 --pa 31 --payload 110 --tries 3
 //                --interval 100 --packets 1000
 //
 // Useful both to sanity-check a tuned configuration ("is my p99 close to

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -97,9 +98,16 @@ void ThreadPool::ParallelFor(std::size_t total, std::size_t chunk,
   // cursor exhausted, and exit without touching `fn`). That property makes
   // nested ParallelFor calls deadlock-free — a caller that drains every
   // chunk itself never waits on the pool.
+  //
+  // Exceptions: the first one thrown by `fn` on any thread is kept and
+  // rethrown on the caller once every chunk is accounted for. After it,
+  // remaining chunks are counted as done without running `fn`, so the wait
+  // cannot hang and no helper touches `fn` after the caller has returned.
   struct Drain {
     std::atomic<std::size_t> cursor{0};
     std::atomic<std::size_t> done_chunks{0};
+    std::atomic<bool> failed{false};
+    std::exception_ptr error;  // written once, by whoever set `failed`
     std::mutex done_mutex;
     std::condition_variable done_cv;
   };
@@ -108,9 +116,17 @@ void ThreadPool::ParallelFor(std::size_t total, std::size_t chunk,
   auto run_chunks = [drain, total, chunk, chunks, &fn] {
     for (std::size_t c = drain->cursor.fetch_add(1); c < chunks;
          c = drain->cursor.fetch_add(1)) {
-      const std::size_t begin = c * chunk;
-      const std::size_t end = std::min(begin + chunk, total);
-      for (std::size_t i = begin; i < end; ++i) fn(i);
+      if (!drain->failed.load(std::memory_order_acquire)) {
+        try {
+          const std::size_t begin = c * chunk;
+          const std::size_t end = std::min(begin + chunk, total);
+          for (std::size_t i = begin; i < end; ++i) fn(i);
+        } catch (...) {
+          if (!drain->failed.exchange(true, std::memory_order_acq_rel)) {
+            drain->error = std::current_exception();
+          }
+        }
+      }
       if (drain->done_chunks.fetch_add(1, std::memory_order_acq_rel) + 1 ==
           chunks) {
         // Last chunk done: wake the caller. The lock pairs the notify with
@@ -129,6 +145,9 @@ void ThreadPool::ParallelFor(std::size_t total, std::size_t chunk,
   drain->done_cv.wait(lock, [&drain, chunks] {
     return drain->done_chunks.load(std::memory_order_acquire) == chunks;
   });
+  // The acquire load above that saw the last chunk counted orders every
+  // write to `error` before this read.
+  if (drain->error) std::rethrow_exception(drain->error);
 }
 
 }  // namespace wsnlink::util

@@ -65,7 +65,9 @@ class ThreadPool {
   /// plus up to max_parallel-1 pool workers); 0 means "pool width". The
   /// call returns when every index has been processed. `fn` is invoked
   /// concurrently and must be thread-safe; results must not depend on
-  /// execution order.
+  /// execution order. If `fn` throws, the first exception is rethrown here
+  /// once every chunk is accounted for; chunks not yet started by then are
+  /// skipped, so which indices ran is unspecified.
   void ParallelFor(std::size_t total, std::size_t chunk, unsigned max_parallel,
                    const std::function<void(std::size_t)>& fn);
 

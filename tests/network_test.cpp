@@ -9,6 +9,7 @@
 // and thread-count invariance of the contention sweep.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -345,6 +346,28 @@ TEST(Contention, CsvRowMatchesHeaderArity) {
   };
   EXPECT_EQ(count_fields(experiment::ContentionCsvHeader()),
             count_fields(experiment::SerializeContentionRow(points[0])));
+}
+
+// Option errors surface inside rungs running on pool workers; they must
+// reach the caller as exceptions, not crash the process.
+TEST(Contention, InvalidOptionsReachCaller) {
+  experiment::ContentionOptions options;
+  options.node_counts = {2, 4, 8, 16};
+  options.threads = 4;
+  options.packet_count = 20;
+
+  auto no_packets = options;
+  no_packets.packet_count = 0;
+  EXPECT_THROW(experiment::RunContentionSweep(no_packets),
+               std::invalid_argument);
+
+  for (const double margin : {-1.0, std::nan("")}) {
+    auto bad_margin = options;
+    bad_margin.capture_margin_db = margin;
+    EXPECT_THROW(experiment::RunContentionSweep(bad_margin),
+                 std::invalid_argument)
+        << "capture margin " << margin;
+  }
 }
 
 TEST(Contention, RejectsBadLadders) {

@@ -1,13 +1,18 @@
 // Unit tests for the util substrate: RNG, statistics, histogram, units,
-// tables, CSV.
+// tables, CSV, thread pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <future>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/csv.h"
@@ -16,6 +21,7 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/units.h"
 
 namespace wsnlink::util {
@@ -463,6 +469,81 @@ TEST(Csv, WriterOpenFailureNamesPath) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
   }
+}
+
+// ---------------------------------------------------------- ThreadPool ----
+
+// Parks a pool's only worker until destroyed, so a test decides which
+// thread runs the chunks of a ParallelFor.
+class BlockedWorker {
+ public:
+  explicit BlockedWorker(ThreadPool& pool) {
+    auto parked = std::make_shared<std::promise<void>>();
+    auto started = parked->get_future();
+    pool.Submit([parked, gate = release_.get_future().share()] {
+      parked->set_value();
+      gate.wait();
+    });
+    started.wait();
+  }
+  BlockedWorker(const BlockedWorker&) = delete;
+  BlockedWorker& operator=(const BlockedWorker&) = delete;
+  ~BlockedWorker() { release_.set_value(); }
+
+ private:
+  std::promise<void> release_;
+};
+
+TEST(ThreadPool, ThrowInCallersChunkReachesCallerAndStopsTheLoop) {
+  std::atomic<int> calls{0};
+  {
+    ThreadPool pool(1);
+    // The helper task queues behind the parked worker, so the caller runs
+    // every chunk itself; the helper wakes after the caller has returned
+    // and must find nothing left to run.
+    BlockedWorker blocked(pool);
+    EXPECT_THROW(pool.ParallelFor(8, 1, 2,
+                                  [&calls](std::size_t i) {
+                                    ++calls;
+                                    if (i == 2) throw std::runtime_error("x");
+                                  }),
+                 std::runtime_error);
+    EXPECT_EQ(calls.load(), 3) << "indices after the throw must not run";
+  }  // unparks the worker; the pool runs the late helper before joining
+  EXPECT_EQ(calls.load(), 3);
+}
+
+TEST(ThreadPool, ThrowInHelpersChunkReachesCaller) {
+  ThreadPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> helper_ran{false};
+  try {
+    pool.ParallelFor(2, 1, 2, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) {
+        helper_ran = true;
+        throw std::runtime_error("helper");
+      }
+      // Hold the caller's chunk until the helper has thrown.
+      while (!helper_ran) std::this_thread::yield();
+    });
+    ADD_FAILURE() << "ParallelFor returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "helper");
+  }
+  EXPECT_TRUE(helper_ran.load());
+}
+
+TEST(ThreadPool, StaysUsableAfterAThrowingLoop) {
+  ThreadPool pool(3);
+  EXPECT_THROW(pool.ParallelFor(64, 2, 0,
+                                [](std::size_t) {
+                                  throw std::invalid_argument("every index");
+                                }),
+               std::invalid_argument);
+  std::vector<int> hits(1000, 0);
+  pool.ParallelFor(hits.size(), 7, 0, [&hits](std::size_t i) { ++hits[i]; });
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 1000);
+  EXPECT_EQ(pool.WorkerCount(), 3u);
 }
 
 }  // namespace
