@@ -137,13 +137,6 @@ void BM_ModelPrediction(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelPrediction);
 
-// ---------------------------------------------------------------------------
-// Batch (structure-of-arrays) kernels vs their scalar twins. The batch
-// variants are plain contiguous loops the compiler auto-vectorizes — the
-// contract is bit-identical results (tests/determinism_test.cpp) at a
-// higher configs/sec, and these pairs put a number on "higher".
-// ---------------------------------------------------------------------------
-
 std::vector<core::StackConfig> BenchConfigs() {
   auto space = core::opt::ConfigSpace::PaperTableI();
   space.distances_m = {25.0};  // one distance: 8064 configs
@@ -169,19 +162,6 @@ void BM_ModelPredictionScalarLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelPredictionScalarLoop);
 
-void BM_ModelPredictionBatch(benchmark::State& state) {
-  const core::models::ModelSet models;
-  const auto configs = BenchConfigs();
-  std::vector<core::models::MetricPrediction> out(configs.size());
-  for (auto _ : state) {
-    models.PredictBatch(configs, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(configs.size()));
-}
-BENCHMARK(BM_ModelPredictionBatch);
-
 std::vector<double> BenchSnrs(std::size_t count) {
   std::vector<double> snrs(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -205,19 +185,6 @@ void BM_BerFrameSuccessScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_BerFrameSuccessScalar);
 
-void BM_BerFrameSuccessBatch(benchmark::State& state) {
-  const channel::CalibratedExponentialBer ber;
-  const auto snrs = BenchSnrs(4096);
-  std::vector<double> out(snrs.size());
-  for (auto _ : state) {
-    ber.FrameSuccessProbabilityBatch(snrs, 129, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(snrs.size()));
-}
-BENCHMARK(BM_BerFrameSuccessBatch);
-
 void BM_PathLossScalar(benchmark::State& state) {
   const channel::PathLoss loss{channel::PathLossParams{}};
   std::vector<double> distances(4096);
@@ -236,62 +203,27 @@ void BM_PathLossScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_PathLossScalar);
 
-void BM_PathLossBatch(benchmark::State& state) {
-  const channel::PathLoss loss{channel::PathLossParams{}};
-  std::vector<double> distances(4096);
-  for (std::size_t i = 0; i < distances.size(); ++i) {
-    distances[i] = 1.0 + 0.01 * static_cast<double>(i);
-  }
-  std::vector<double> out(distances.size());
-  for (auto _ : state) {
-    loss.MeanLossDbBatch(distances, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(distances.size()));
-}
-BENCHMARK(BM_PathLossBatch);
-
-constexpr std::size_t kShadowLanes = 64;
+constexpr std::size_t kShadowProcesses = 64;
 
 void BM_ShadowingScalarBank(benchmark::State& state) {
   std::vector<channel::ShadowingProcess> bank;
-  for (std::size_t k = 0; k < kShadowLanes; ++k) {
+  for (std::size_t k = 0; k < kShadowProcesses; ++k) {
     bank.emplace_back(channel::ShadowingParams{},
                       util::Rng(1000 + static_cast<std::uint64_t>(k)));
   }
-  std::vector<double> out(kShadowLanes);
+  std::vector<double> out(kShadowProcesses);
   sim::Time t = 0;
   for (auto _ : state) {
     t += 10 * sim::kMillisecond;
-    for (std::size_t k = 0; k < kShadowLanes; ++k) {
+    for (std::size_t k = 0; k < kShadowProcesses; ++k) {
       out[k] = bank[k].Sample(t);
     }
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kShadowLanes));
+                          static_cast<std::int64_t>(kShadowProcesses));
 }
 BENCHMARK(BM_ShadowingScalarBank);
-
-void BM_ShadowingLanes(benchmark::State& state) {
-  std::vector<channel::ShadowingParams> params(kShadowLanes);
-  std::vector<util::Rng> rngs;
-  for (std::size_t k = 0; k < kShadowLanes; ++k) {
-    rngs.emplace_back(1000 + static_cast<std::uint64_t>(k));
-  }
-  channel::ShadowingLanes lanes(params, rngs);
-  std::vector<double> out(kShadowLanes);
-  sim::Time t = 0;
-  for (auto _ : state) {
-    t += 10 * sim::kMillisecond;
-    lanes.SampleAll(t, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kShadowLanes));
-}
-BENCHMARK(BM_ShadowingLanes);
 
 void BM_RngGaussianScalar(benchmark::State& state) {
   util::Rng rng(7);
@@ -301,22 +233,6 @@ void BM_RngGaussianScalar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngGaussianScalar);
-
-void BM_RngGaussianLanes(benchmark::State& state) {
-  std::vector<util::Rng> seeds;
-  for (std::size_t k = 0; k < kShadowLanes; ++k) {
-    seeds.emplace_back(7 + static_cast<std::uint64_t>(k));
-  }
-  util::RngLanes lanes(seeds);
-  std::vector<double> out(kShadowLanes);
-  for (auto _ : state) {
-    lanes.GaussianAll(out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kShadowLanes));
-}
-BENCHMARK(BM_RngGaussianLanes);
 
 void BM_EpsilonConstraintSweep(benchmark::State& state) {
   const core::models::ModelSet models;

@@ -138,7 +138,10 @@ double JsonNumber(const std::string& text, const std::string& key) {
 int main(int argc, char** argv) {
   using namespace wsnlink;
   try {
-    const util::Args args(argc, argv);
+    const util::Args args(argc, argv,
+                          {"--requests", "--packets", "--hot-repeat",
+                           "--threads", "--tolerance", "--min-ratio", "--out",
+                           "--check"});
     const std::size_t requests = args.GetSize("--requests", 48);
     const int packets = static_cast<int>(args.GetSize("--packets", 120));
     const int hot_repeat =

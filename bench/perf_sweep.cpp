@@ -161,7 +161,11 @@ void WriteJson(const std::string& path, const BenchResult& r,
 int main(int argc, char** argv) {
   using namespace wsnlink;
 
-  util::Args args(argc, argv, {"--prescreen"});
+  const util::Args args = util::ParseArgsOrExit(
+      argc, argv,
+      {"--stride", "--packets", "--threads", "--repeat", "--tolerance",
+       "--max-allocs", "--out", "--check"},
+      {"--prescreen"});
   const auto stride = args.GetSize("--stride", 10);
   const auto packets = static_cast<int>(args.GetSize("--packets", 60));
   const auto threads = static_cast<unsigned>(args.GetSize("--threads", 0));

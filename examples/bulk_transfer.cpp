@@ -58,7 +58,8 @@ TransferOutcome Transfer(const core::StackConfig& config,
 int main(int argc, char** argv) try {
   using namespace wsnlink;
 
-  const util::Args args(argc, argv, {"--help"});
+  const util::Args args =
+      util::ParseArgsOrExit(argc, argv, examples::SimValueFlags(), {"--help"});
   if (args.Has("--help")) {
     std::cout << "usage: bulk_transfer [--seed N] [--packets N]\n";
     return 0;

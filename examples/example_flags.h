@@ -7,10 +7,21 @@
 // canonical seed/packet count while gaining validated overrides.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "node/link_simulation.h"
 #include "util/args.h"
 
 namespace wsnlink::examples {
+
+/// `extra` plus the value flags ApplySimFlags reads: the value-flag list
+/// an example passes to util::Args.
+inline std::vector<std::string> SimValueFlags(
+    std::vector<std::string> extra = {}) {
+  extra.insert(extra.end(), {"--seed", "--packets"});
+  return extra;
+}
 
 /// Overlays `--seed N` and `--packets N` (validated, >= 1) onto `options`.
 /// Absent flags leave the caller's defaults untouched.

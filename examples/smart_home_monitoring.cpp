@@ -34,7 +34,8 @@ metrics::LinkMetrics Evaluate(const core::StackConfig& config,
 int main(int argc, char** argv) try {
   using namespace wsnlink;
 
-  const util::Args args(argc, argv, {"--help"});
+  const util::Args args =
+      util::ParseArgsOrExit(argc, argv, examples::SimValueFlags(), {"--help"});
   if (args.Has("--help")) {
     std::cout << "usage: smart_home_monitoring [--seed N] [--packets N]\n";
     return 0;

@@ -39,7 +39,10 @@ void HandleSignal(int) {
 int main(int argc, char** argv) {
   using namespace wsnlink;
   try {
-    const util::Args args(argc, argv);
+    const util::Args args = util::ParseArgsOrExit(
+        argc, argv,
+        {"--port", "--cache", "--threads", "--max-inflight", "--persist-every",
+         "--cache-max-entries", "--abort-after"});
     serve::ServiceOptions service_options;
     service_options.threads =
         static_cast<unsigned>(args.GetSize("--threads", 0));

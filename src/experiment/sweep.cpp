@@ -99,12 +99,11 @@ std::vector<bool> PrescreenMask(const std::vector<core::StackConfig>& configs,
   struct Costs {
     double v[4];
   };
-  std::vector<core::models::MetricPrediction> predictions(configs.size());
-  models.PredictBatch(configs, predictions);
   std::vector<Costs> costs(configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
+    const auto prediction = models.Predict(configs[i]);
     for (std::size_t m = 0; m < 4; ++m) {
-      costs[i].v[m] = core::opt::MetricCost(predictions[i], kObjectives[m]);
+      costs[i].v[m] = core::opt::MetricCost(prediction, kObjectives[m]);
     }
   }
 
@@ -159,11 +158,9 @@ std::vector<SweepPoint> RunSweep(const std::vector<core::StackConfig>& configs,
   if (options.analytic_prescreen) {
     keep = PrescreenMask(configs, options.prescreen_slack);
     const core::models::ModelSet models;
-    std::vector<core::models::MetricPrediction> predictions(configs.size());
-    models.PredictBatch(configs, predictions);
     for (std::size_t i = 0; i < configs.size(); ++i) {
       if (!keep[i]) {
-        FillFromPrediction(points[i], configs[i], predictions[i]);
+        FillFromPrediction(points[i], configs[i], models.Predict(configs[i]));
       }
     }
   }

@@ -3,21 +3,45 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace wsnlink::util {
 
+namespace {
+
+bool Contains(const std::vector<std::string>& list, const std::string& item) {
+  return std::find(list.begin(), list.end(), item) != list.end();
+}
+
+}  // namespace
+
 Args::Args(int argc, const char* const* argv,
+           const std::vector<std::string>& value_flags,
            const std::vector<std::string>& switches) {
+  Parse(argc, argv, &value_flags, switches);
+}
+
+Args::Args(int argc, const char* const* argv) {
+  Parse(argc, argv, nullptr, {});
+}
+
+void Args::Parse(int argc, const char* const* argv,
+                 const std::vector<std::string>* value_flags,
+                 const std::vector<std::string>& switches) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
       positional_.push_back(arg);
       continue;
     }
-    if (std::find(switches.begin(), switches.end(), arg) != switches.end()) {
+    if (Contains(switches, arg)) {
       switches_given_.push_back(arg);
       continue;
+    }
+    if (value_flags != nullptr && !Contains(*value_flags, arg)) {
+      throw std::invalid_argument("unknown flag " + arg);
     }
     if (i + 1 >= argc) {
       throw std::invalid_argument("missing value for " + arg);
@@ -37,8 +61,20 @@ Args::Args(int argc, const char* const* argv,
 }
 
 bool Args::Has(const std::string& flag) const {
-  return std::find(switches_given_.begin(), switches_given_.end(), flag) !=
-         switches_given_.end();
+  return Contains(switches_given_, flag);
+}
+
+Args ParseArgsOrExit(int argc, const char* const* argv,
+                     const std::vector<std::string>& value_flags,
+                     const std::vector<std::string>& switches) {
+  try {
+    return Args(argc, argv, value_flags, switches);
+  } catch (const std::invalid_argument& e) {
+    std::string program = argc > 0 ? argv[0] : "wsnlink";
+    program.erase(0, program.find_last_of('/') + 1);
+    std::fprintf(stderr, "%s: %s\n", program.c_str(), e.what());
+    std::exit(2);
+  }
 }
 
 std::optional<std::string> Args::Get(const std::string& flag) const {

@@ -1,9 +1,9 @@
 // Minimal command-line flag parser for the example/tool binaries.
 //
 // Supports `--flag value` options (string/double/int/size_t), boolean
-// switches (`--verify`), and positional arguments. Unknown flags produce an
-// error with the usage line, matching what the tools previously hand-rolled
-// four times over.
+// switches (`--verify`), and positional arguments. A binary lists the flags
+// it accepts, so a typo'd or unsupported flag is an error instead of being
+// silently ignored.
 #pragma once
 
 #include <cstddef>
@@ -18,11 +18,18 @@ namespace wsnlink::util {
 /// Parsed command line.
 class Args {
  public:
-  /// Parses argv. `switches` lists flags that take no value. Throws
-  /// std::invalid_argument on an unknown flag (not in `switches` and not
-  /// followed by a value) or a flag missing its value.
+  /// Parses argv against the flags a binary accepts: each `value_flags`
+  /// entry takes a value (`--seed 7`), each `switches` entry takes none
+  /// (`--verify`). Throws std::invalid_argument naming any other `--flag`,
+  /// a flag missing its value, or a repeated value flag.
   Args(int argc, const char* const* argv,
+       const std::vector<std::string>& value_flags,
        const std::vector<std::string>& switches = {});
+
+  /// Unchecked parse: every `--flag` takes a value and no name is
+  /// rejected. Kept for the perfbench driver, which reads its flags
+  /// without listing them; binaries use the checked form above.
+  Args(int argc, const char* const* argv);
 
   /// True if the boolean switch was given.
   [[nodiscard]] bool Has(const std::string& flag) const;
@@ -50,10 +57,22 @@ class Args {
   }
 
  private:
+  /// Shared parse loop; a null `value_flags` accepts any value flag.
+  void Parse(int argc, const char* const* argv,
+             const std::vector<std::string>* value_flags,
+             const std::vector<std::string>& switches);
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> switches_given_;
   std::vector<std::string> positional_;
 };
+
+/// The checked constructor for a binary's main(): on a usage error it
+/// prints "<program>: <error>" to stderr and exits with status 2.
+[[nodiscard]] Args ParseArgsOrExit(
+    int argc, const char* const* argv,
+    const std::vector<std::string>& value_flags,
+    const std::vector<std::string>& switches = {});
 
 /// Parses a strictly positive integer from the *entire* string: "3" is
 /// fine, "" / "abc" / "3x" / "0" / "-2" all throw std::invalid_argument

@@ -1,15 +1,24 @@
 // Tests for the command-line flag parser.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "util/args.h"
 
 namespace wsnlink::util {
 namespace {
 
+// The value flags every test binary below accepts.
+const std::vector<std::string> kValueFlags = {
+    "--out", "--stride", "--objective", "--distance", "--packets"};
+
 Args Parse(std::vector<const char*> argv,
            const std::vector<std::string>& switches = {}) {
   argv.insert(argv.begin(), "tool");
-  return Args(static_cast<int>(argv.size()), argv.data(), switches);
+  return Args(static_cast<int>(argv.size()), argv.data(), kValueFlags,
+              switches);
 }
 
 TEST(Args, FlagsAndPositionals) {
@@ -53,6 +62,48 @@ TEST(Args, SwitchBeforeValueFlagNotConfused) {
   const auto args = Parse({"--verify", "positional"}, {"--verify"});
   EXPECT_TRUE(args.Has("--verify"));
   ASSERT_EQ(args.Positional().size(), 1u);
+}
+
+TEST(Args, UnknownValueFlagThrows) {
+  // Used to be accepted and silently ignored, default value and all.
+  try {
+    (void)Parse({"--distance", "25", "--capture-margin", "-1"});
+    FAIL() << "unknown value flag accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--capture-margin"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Args, UnknownSwitchThrows) {
+  // Trailing (no value to borrow) and mid-line (a value to borrow) alike.
+  for (const std::vector<const char*>& argv :
+       {std::vector<const char*>{"--verify", "--help"},
+        std::vector<const char*>{"--help", "input.csv", "--verify"}}) {
+    try {
+      (void)Parse(argv, {"--verify"});
+      FAIL() << "unknown switch accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--help"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Args, ListedFlagsParseAsBefore) {
+  const auto args = Parse({"--packets", "12", "in.csv", "--verify", "--out",
+                           "o.csv", "--distance", "-3.5"},
+                          {"--verify"});
+  EXPECT_EQ(args.GetPositiveInt("--packets", 1), 12);
+  EXPECT_EQ(args.GetString("--out", ""), "o.csv");
+  EXPECT_DOUBLE_EQ(args.GetDouble("--distance", 0.0), -3.5);
+  EXPECT_TRUE(args.Has("--verify"));
+  EXPECT_FALSE(args.Get("--stride").has_value());
+  ASSERT_EQ(args.Positional().size(), 1u);
+  EXPECT_EQ(args.Positional()[0], "in.csv");
+  // A listed value flag still needs its value.
+  EXPECT_THROW(Parse({"--stride"}), std::invalid_argument);
 }
 
 TEST(Args, ParsePositiveIntWholeStringOnly) {

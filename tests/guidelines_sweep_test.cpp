@@ -96,8 +96,13 @@ INSTANTIATE_TEST_SUITE_P(
                       DeploymentCase{30.0, 100.0},
                       DeploymentCase{35.0, 200.0}),
     [](const ::testing::TestParamInfo<DeploymentCase>& info) {
-      return "d" + std::to_string(static_cast<int>(info.param.distance_m)) +
-             "_t" + std::to_string(static_cast<int>(info.param.pkt_interval_ms));
+      // += rather than "literal" + std::string&&: GCC 12 reports a false
+      // -Wrestrict overlap on the latter.
+      std::string name = "d";
+      name += std::to_string(static_cast<int>(info.param.distance_m));
+      name += "_t";
+      name += std::to_string(static_cast<int>(info.param.pkt_interval_ms));
+      return name;
     });
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "channel/channel.h"
 #include "mac/lpl_mac.h"
@@ -232,8 +233,11 @@ TEST_P(LplWakeupSweep, DelayTracksHalfTheInterval) {
 INSTANTIATE_TEST_SUITE_P(WakeupIntervals, LplWakeupSweep,
                          ::testing::Values(50.0, 100.0, 200.0, 400.0),
                          [](const ::testing::TestParamInfo<double>& info) {
-                           return "w" + std::to_string(
-                                            static_cast<int>(info.param));
+                           // += rather than "w" + std::string&&:
+                           // GCC 12 -Wrestrict false positive.
+                           std::string name = "w";
+                           name += std::to_string(static_cast<int>(info.param));
+                           return name;
                          });
 
 }  // namespace

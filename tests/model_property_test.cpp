@@ -166,8 +166,13 @@ INSTANTIATE_TEST_SUITE_P(
                       GridPoint{110, 22.0}, GridPoint{114, 9.0},
                       GridPoint{114, 19.0}, GridPoint{114, 30.0}),
     [](const ::testing::TestParamInfo<GridPoint>& info) {
-      return "l" + std::to_string(info.param.payload) + "_s" +
-             std::to_string(static_cast<int>(info.param.snr_db));
+      // += rather than "literal" + std::string&&: GCC 12 reports a false
+      // -Wrestrict overlap on the latter.
+      std::string name = "l";
+      name += std::to_string(info.param.payload);
+      name += "_s";
+      name += std::to_string(static_cast<int>(info.param.snr_db));
+      return name;
     });
 
 // --- service-curve bound algebra (src/validate/) ------------------------

@@ -8,7 +8,8 @@
 //  * the untraced collapsed MAC path produces the same metrics and the
 //    same MAC/link/app counters as the traced event-by-event path;
 //  * analytic prescreen leaves every simulated point bit-identical to the
-//    same index in an un-prescreened sweep;
+//    same index in an un-prescreened sweep, and every skipped point equal
+//    to the scalar ModelSet::Predict of its config;
 // plus the physical monotonicity properties the paper's models rely on:
 // PER non-increasing in SNR, every served packet uses >= 1 transmission,
 // PLR_radio non-increasing in N_maxTries, and energy per delivered bit
@@ -20,6 +21,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/models/model_set.h"
 #include "core/opt/config_space.h"
 #include "experiment/sweep.h"
 
@@ -162,6 +164,7 @@ TEST(PerfInvariance, PrescreenKeepsSimulatedPointsBitIdentical) {
   const auto screened = RunSweep(configs, options);
 
   ASSERT_EQ(full.size(), screened.size());
+  const core::models::ModelSet models;
   for (std::size_t i = 0; i < screened.size(); ++i) {
     EXPECT_EQ(screened[i].simulated, mask[i]) << "config " << i;
     if (screened[i].simulated) {
@@ -169,8 +172,24 @@ TEST(PerfInvariance, PrescreenKeepsSimulatedPointsBitIdentical) {
       // the same bits as the un-prescreened sweep.
       ExpectSamePoint(full[i], screened[i], i);
     } else {
-      // Skipped points carry the model prediction, not zeros.
-      EXPECT_GT(screened[i].measured.goodput_kbps, 0.0) << "config " << i;
+      // Skipped points carry the scalar model prediction, not zeros.
+      const auto p = models.Predict(configs[i]);
+      const auto& m = screened[i].measured;
+      EXPECT_GT(m.goodput_kbps, 0.0) << "config " << i;
+      EXPECT_EQ(m.generated, 0) << "config " << i;
+      EXPECT_EQ(screened[i].mean_snr_db, p.snr_db) << "config " << i;
+      EXPECT_EQ(m.mean_snr_db, p.snr_db) << "config " << i;
+      EXPECT_EQ(m.per, p.per) << "config " << i;
+      EXPECT_EQ(m.mean_tries_all, p.mean_tries) << "config " << i;
+      EXPECT_EQ(m.mean_tries_acked, p.mean_tries) << "config " << i;
+      EXPECT_EQ(m.mean_service_ms, p.service_time_ms) << "config " << i;
+      EXPECT_EQ(m.utilization, p.utilization) << "config " << i;
+      EXPECT_EQ(m.goodput_kbps, p.max_goodput_kbps) << "config " << i;
+      EXPECT_EQ(m.energy_uj_per_bit, p.energy_uj_per_bit) << "config " << i;
+      EXPECT_EQ(m.mean_delay_ms, p.total_delay_ms) << "config " << i;
+      EXPECT_EQ(m.plr_radio, p.plr_radio) << "config " << i;
+      EXPECT_EQ(m.plr_queue, p.plr_queue) << "config " << i;
+      EXPECT_EQ(m.plr_total, p.plr_total) << "config " << i;
     }
   }
 }

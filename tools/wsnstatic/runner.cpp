@@ -5,6 +5,9 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace wsnstatic {
 namespace {
@@ -53,11 +56,15 @@ std::string BuildInventory(const Index& index) {
     }
     for (const analysis::Marker& marker :
          analysis::ParseMarkers("wsnlint", file.scan.comments)) {
-      lines.push_back(file.path + ":" + std::to_string(marker.line) +
-                      ": wsnlint:" + marker.verb +
-                      (marker.ids.empty() ? "" : "(" + JoinIds(marker.ids) +
-                                                     ")") +
-                      (marker.has_reason ? ": " + marker.reason : ""));
+      // Appended piecewise: GCC 12 reports a false -Wrestrict overlap on
+      // `"literal" + std::string&&`.
+      std::string line = file.path + ":" + std::to_string(marker.line) +
+                         ": wsnlint:" + marker.verb;
+      if (!marker.ids.empty()) {
+        line.append("(").append(JoinIds(marker.ids)).append(")");
+      }
+      if (marker.has_reason) line.append(": ").append(marker.reason);
+      lines.push_back(std::move(line));
     }
   }
   std::sort(lines.begin(), lines.end());
