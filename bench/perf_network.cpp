@@ -145,7 +145,17 @@ int main(int argc, char** argv) {
 
   const util::Args args = util::ParseArgsOrExit(
       argc, argv,
-      {"--nodes", "--packets", "--repeat", "--tolerance", "--out", "--check"});
+      {"--nodes", "--packets", "--repeat", "--tolerance", "--out", "--check"},
+      {"--help"});
+  if (args.Has("--help")) {
+    std::printf(
+        "usage: perf_network [--out BENCH_network.json]"
+        " [--check BENCH_network.json]\n"
+        "                    [--tolerance 0.30] [--nodes 64,256,1024]"
+        " [--packets 15]\n"
+        "                    [--repeat 1]\n");
+    return 0;
+  }
   const auto node_list = ParseIntList(args.GetString("--nodes", "64,256,1024"),
                                       "--nodes");
   const int packets = args.GetPositiveInt("--packets", 15);

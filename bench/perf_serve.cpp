@@ -141,7 +141,18 @@ int main(int argc, char** argv) {
     const util::Args args(argc, argv,
                           {"--requests", "--packets", "--hot-repeat",
                            "--threads", "--tolerance", "--min-ratio", "--out",
-                           "--check"});
+                           "--check"},
+                          {"--help"});
+    if (args.Has("--help")) {
+      std::printf(
+          "usage: perf_serve [--out BENCH_serve.json]"
+          " [--check BENCH_serve.json]\n"
+          "                  [--tolerance 0.4] [--min-ratio 10]"
+          " [--requests 48]\n"
+          "                  [--packets 120] [--hot-repeat 20]"
+          " [--threads 0]\n");
+      return 0;
+    }
     const std::size_t requests = args.GetSize("--requests", 48);
     const int packets = static_cast<int>(args.GetSize("--packets", 120));
     const int hot_repeat =

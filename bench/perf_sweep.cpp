@@ -165,7 +165,15 @@ int main(int argc, char** argv) {
       argc, argv,
       {"--stride", "--packets", "--threads", "--repeat", "--tolerance",
        "--max-allocs", "--out", "--check"},
-      {"--prescreen"});
+      {"--prescreen", "--help"});
+  if (args.Has("--help")) {
+    std::printf(
+        "usage: perf_sweep [--out BENCH_sweep.json] [--check BENCH_sweep.json]\n"
+        "                  [--tolerance 0.25] [--max-allocs 2] [--stride 10]\n"
+        "                  [--packets 60] [--threads 0] [--repeat 3]"
+        " [--prescreen]\n");
+    return 0;
+  }
   const auto stride = args.GetSize("--stride", 10);
   const auto packets = static_cast<int>(args.GetSize("--packets", 60));
   const auto threads = static_cast<unsigned>(args.GetSize("--threads", 0));

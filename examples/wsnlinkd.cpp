@@ -42,7 +42,30 @@ int main(int argc, char** argv) {
     const util::Args args = util::ParseArgsOrExit(
         argc, argv,
         {"--port", "--cache", "--threads", "--max-inflight", "--persist-every",
-         "--cache-max-entries", "--abort-after"});
+         "--cache-max-entries", "--abort-after"},
+        {"--help"});
+    if (args.Has("--help")) {
+      std::printf(
+          "usage: wsnlinkd [--port N] [--cache FILE] [--threads N]"
+          " [--max-inflight N]\n"
+          "                [--persist-every N] [--cache-max-entries N]"
+          " [--abort-after N]\n"
+          "  --port          TCP port on 127.0.0.1 (default 4710; 0 ="
+          " ephemeral)\n"
+          "  --cache         persistent result cache path (default: memory"
+          " only)\n"
+          "  --threads       max concurrent computations per batch (0 = pool"
+          " width)\n"
+          "  --max-inflight  request lines answered per cycle before"
+          " busy-rejecting\n"
+          "  --persist-every persist cadence in new entries (default 1 ="
+          " every one)\n"
+          "  --cache-max-entries  FIFO entry cap on the result cache (0 ="
+          " unbounded)\n"
+          "  --abort-after   crash drill: _Exit(3) after answering N"
+          " requests\n");
+      return 0;
+    }
     serve::ServiceOptions service_options;
     service_options.threads =
         static_cast<unsigned>(args.GetSize("--threads", 0));

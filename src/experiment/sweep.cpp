@@ -89,8 +89,8 @@ void FillFromPrediction(SweepPoint& point, const core::StackConfig& config,
 
 }  // namespace
 
-std::vector<bool> PrescreenMask(const std::vector<core::StackConfig>& configs,
-                                double slack) {
+Prescreen PrescreenConfigs(const std::vector<core::StackConfig>& configs,
+                           double slack) {
   using core::opt::Metric;
   const core::models::ModelSet models;
   const Metric kObjectives[] = {Metric::kEnergy, Metric::kGoodput,
@@ -99,9 +99,12 @@ std::vector<bool> PrescreenMask(const std::vector<core::StackConfig>& configs,
   struct Costs {
     double v[4];
   };
+  Prescreen screen;
+  screen.predictions.reserve(configs.size());
   std::vector<Costs> costs(configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const auto prediction = models.Predict(configs[i]);
+    const auto& prediction =
+        screen.predictions.emplace_back(models.Predict(configs[i]));
     for (std::size_t m = 0; m < 4; ++m) {
       costs[i].v[m] = core::opt::MetricCost(prediction, kObjectives[m]);
     }
@@ -121,7 +124,8 @@ std::vector<bool> PrescreenMask(const std::vector<core::StackConfig>& configs,
   // Incremental non-dominated filter: compare each config against the
   // running front only (the front stays small relative to the sweep), then
   // prune front members the newcomer dominates.
-  std::vector<bool> keep(configs.size(), true);
+  std::vector<bool>& keep = screen.keep;
+  keep.assign(configs.size(), true);
   std::vector<std::size_t> front;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     bool dominated = false;
@@ -144,7 +148,7 @@ std::vector<bool> PrescreenMask(const std::vector<core::StackConfig>& configs,
     });
     front.push_back(i);
   }
-  return keep;
+  return screen;
 }
 
 std::vector<SweepPoint> RunSweep(const std::vector<core::StackConfig>& configs,
@@ -154,13 +158,12 @@ std::vector<SweepPoint> RunSweep(const std::vector<core::StackConfig>& configs,
     throw std::invalid_argument("RunSweep: skip mask size != config count");
   }
 
-  std::vector<bool> keep;
+  Prescreen screen;
   if (options.analytic_prescreen) {
-    keep = PrescreenMask(configs, options.prescreen_slack);
-    const core::models::ModelSet models;
+    screen = PrescreenConfigs(configs, options.prescreen_slack);
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (!keep[i]) {
-        FillFromPrediction(points[i], configs[i], models.Predict(configs[i]));
+      if (!screen.keep[i]) {
+        FillFromPrediction(points[i], configs[i], screen.predictions[i]);
       }
     }
   }
@@ -177,7 +180,7 @@ std::vector<SweepPoint> RunSweep(const std::vector<core::StackConfig>& configs,
       return;
     }
     if (options.cancel && options.cancel()) return;
-    if (!keep.empty() && !keep[i]) {
+    if (!screen.keep.empty() && !screen.keep[i]) {
       if (options.on_point) options.on_point(i, points[i]);
       if (options.progress) {
         options.progress(done.fetch_add(1) + 1, configs.size());
@@ -192,35 +195,25 @@ std::vector<SweepPoint> RunSweep(const std::vector<core::StackConfig>& configs,
         util::FaultInjector::Global().MaybeThrow("sweep.worker");
       }
       auto sim_options = MakeOptions(configs[i], options, i);
+      // Per-run tracer: runs never share observability state, which is what
+      // keeps captured traces identical across thread counts. The trace
+      // allocates by design (the event log escapes); the run itself takes
+      // the worker's recycled scratch either way.
+      std::unique_ptr<trace::Tracer> tracer;
       if (options.capture_traces) {
-        // Trace capture allocates by design (the event log escapes), so it
-        // takes the plain path. Per-run tracer: runs never share
-        // observability state, which is what keeps captured traces
-        // identical across thread counts.
-        const auto tracer =
-            std::make_unique<trace::Tracer>(options.trace_capacity);
+        tracer = std::make_unique<trace::Tracer>(options.trace_capacity);
         sim_options.tracer = tracer.get();
-        auto result = node::RunLinkSimulation(sim_options);
-        points[i].config = configs[i];
-        points[i].measured =
-            metrics::ComputeMetrics(result, configs[i].pkt_interval_ms);
-        points[i].mean_snr_db = result.mean_snr_db;
-        points[i].counters = std::move(result.counters);
-        points[i].events = tracer->Events();
-      } else {
-        // Steady-state hot path: every growable resource comes from the
-        // worker's recycled scratch; results are bit-identical to the
-        // plain path.
-        node::LinkRunScratch& scratch = WorkerScratch();
-        auto result = node::RunLinkSimulation(sim_options, scratch);
-        points[i].config = configs[i];
-        points[i].measured = metrics::ComputeMetrics(
-            result, configs[i].pkt_interval_ms, scratch.delay_buf);
-        points[i].mean_snr_db = result.mean_snr_db;
-        points[i].counters = std::move(result.counters);
-        // Hand the log's heap blocks back for the next run.
-        result.log.ExtractStorage(scratch.packet_buf, scratch.attempt_buf);
       }
+      node::LinkRunScratch& scratch = WorkerScratch();
+      auto result = node::RunLinkSimulation(sim_options, scratch);
+      points[i].config = configs[i];
+      points[i].measured = metrics::ComputeMetrics(
+          result, configs[i].pkt_interval_ms, scratch.delay_buf);
+      points[i].mean_snr_db = result.mean_snr_db;
+      points[i].counters = std::move(result.counters);
+      if (tracer != nullptr) points[i].events = tracer->Events();
+      // Hand the log's heap blocks back for the next run.
+      result.log.ExtractStorage(scratch.packet_buf, scratch.attempt_buf);
     } catch (const std::exception& e) {
       points[i] = SweepPoint{};
       points[i].config = configs[i];

@@ -14,6 +14,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/models/model_set.h"
 #include "core/stack_config.h"
 #include "metrics/link_metrics.h"
 #include "node/link_simulation.h"
@@ -116,9 +117,18 @@ struct SweepOptions {
 [[nodiscard]] std::size_t SweepChunkSize(const SweepOptions& options,
                                          std::size_t total) noexcept;
 
-/// The prescreen's keep/skip decisions for `configs` (true = simulate).
+/// The analytic prescreen of a config list (see
+/// SweepOptions::analytic_prescreen); both vectors parallel the configs.
+struct Prescreen {
+  std::vector<bool> keep;  ///< true = simulate
+  /// The ModelSet prediction the screen costed each config with; skipped
+  /// points are filled from it.
+  std::vector<core::models::MetricPrediction> predictions;
+};
+
+/// The prescreen's keep/skip decisions and predictions for `configs`.
 /// Exposed so tests and benches can inspect the screen without running it.
-[[nodiscard]] std::vector<bool> PrescreenMask(
+[[nodiscard]] Prescreen PrescreenConfigs(
     const std::vector<core::StackConfig>& configs, double slack);
 
 /// Runs every configuration; the result vector parallels `configs`.

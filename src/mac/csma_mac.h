@@ -62,19 +62,31 @@ class CsmaMac final : public Mac {
   }
 
  private:
-  void StartAttempt();
-  void DoCca(int cca_retries_left);
-  void TransmitFrame();
-  void FinishAttempt(bool acked);
+  // The attempt ladder is one resumable step function over `phase_`. Each
+  // call of Advance acts at an explicit time `t` (RNG draws, channel calls,
+  // counters, callbacks, trace events) and says how the ladder continues.
+  // Drive runs the steps. Without a shared medium this MAC is the channel's
+  // only user, so it loops inline (t += delay) and schedules only the
+  // completion; with a medium attached other nodes interleave channel state
+  // between the steps, so every delay is a real event.
+  enum class Phase : std::uint8_t {
+    kSpiLoad,   ///< one-time SPI load of the frame into the TX FIFO
+    kBackoff,   ///< random initial backoff of an attempt
+    kCca,       ///< clear-channel assessment (with congestion backoffs)
+    kTransmit,  ///< frame starts radiating
+    kOutcome,   ///< frame ended: decode, ACK, observer callbacks
+    kFinish,    ///< attempt over: done, or retry after D_retry
+  };
+  struct Step {
+    enum class Kind : std::uint8_t { kNow, kAfter, kDone };
+    Kind kind = Kind::kNow;
+    sim::Duration delay = 0;
+  };
+
+  Step Advance(sim::Time t);
+  void Drive(sim::Time t);
   void Complete();
-  /// Untraced fast path: computes the packet's whole CSMA attempt ladder
-  /// synchronously (every channel/RNG call with the same explicit
-  /// timestamps, in the same order, as the event-per-hop path) and
-  /// schedules only the final completion event. Bit-identical results;
-  /// used only when no tracer is attached, because collapsed execution
-  /// would emit trace events out of ring order.
-  void RunPacketFast();
-  void EmitRadioState(trace::RadioState state);
+  void EmitRadioState(sim::Time t, trace::RadioState state);
 
   sim::Simulator& sim_;
   channel::Channel& channel_;
@@ -85,6 +97,8 @@ class CsmaMac final : public Mac {
 
   // In-flight send state.
   bool busy_ = false;
+  Phase phase_ = Phase::kSpiLoad;
+  int cca_retries_left_ = 0;
   std::uint64_t packet_id_ = 0;
   int payload_bytes_ = 0;
   int frame_bytes_ = 0;

@@ -38,6 +38,8 @@ struct SendResult {
   /// (backoffs, turnarounds, ACK waits) — the energy component the paper's
   /// Eq. 2 deliberately excludes but a platform power budget includes.
   sim::Duration listen_time = 0;
+
+  friend bool operator==(const SendResult&, const SendResult&) = default;
 };
 
 /// Per-copy delivery notification for the receiver side (fires at data
@@ -51,6 +53,8 @@ struct DeliveryInfo {
   int lqi = 0;
   /// 1 for the first attempt of the packet, incrementing per retry.
   int attempt = 0;
+
+  friend bool operator==(const DeliveryInfo&, const DeliveryInfo&) = default;
 };
 
 /// Outcome of one radio transmission attempt (observer hook for the
@@ -64,6 +68,8 @@ struct AttemptInfo {
   double snr_db = 0.0;
   bool data_received = false;
   bool acked = false;
+
+  friend bool operator==(const AttemptInfo&, const AttemptInfo&) = default;
 };
 
 /// Abstract sender-side MAC entity: one packet in flight at a time.

@@ -138,8 +138,8 @@ NetworkResult RunNetworkSimulation(const NetworkOptions& options) {
   }
 
   // The medium only exists when two or more senders can actually contend:
-  // a single node with a medium would pay the bookkeeping, lose the MAC
-  // fast path and gain nothing — and N=1 must stay bit-identical to the
+  // a single node with a medium would pay the bookkeeping, lose the MAC's
+  // inline ladder and gain nothing — and N=1 must stay bit-identical to the
   // single-link simulation.
   std::optional<channel::Medium> medium;
   if (options.shared_medium && options.nodes.size() > 1) {

@@ -1,5 +1,6 @@
 #include "trace/trace.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace wsnlink::trace {
@@ -55,6 +56,12 @@ std::vector<TraceEvent> Tracer::Events() const {
   for (std::size_t i = 0; i < retained; ++i) {
     out.push_back(ring_[(start + i) % capacity]);
   }
+  // Layers may emit ahead of the simulator clock (the CSMA MAC's inline
+  // ladder does), so restore time order; emission order breaks ties.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.at < b.at;
+                   });
   return out;
 }
 

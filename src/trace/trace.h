@@ -139,8 +139,12 @@ class Tracer {
     ++emitted_;
   }
 
-  /// Events in emission order (chronological: simulated time is
-  /// monotonic). Copies out of the ring; call once after the run.
+  /// Retained events in time order: stable-sorted by `at`, so events with
+  /// equal timestamps keep their emission order. Emitters may run ahead of
+  /// the simulator clock (the CSMA MAC computes an uncontended attempt
+  /// ladder inline), so emission order alone is not chronological. When the
+  /// ring has wrapped, the retained events are the last Capacity() emitted.
+  /// Copies out of the ring; call once after the run.
   [[nodiscard]] std::vector<TraceEvent> Events() const;
 
   /// Total events emitted, including overwritten ones.

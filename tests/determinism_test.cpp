@@ -254,23 +254,14 @@ TEST(Determinism, SweepWithoutTracesIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, SweepScratchPathMatchesTracedPathMetrics) {
-  // The traced sweep path allocates per run; the untraced one recycles
-  // scratch. Metrics and per-layer counters must not depend on which path
-  // ran. (sim.* kernel counters are excluded: attaching a tracer schedules
-  // extra observational events, so event totals differ by design — that
-  // predates the scratch path and holds for the generic path too.)
+  // Traced and untraced sweep points both run on the worker's recycled
+  // scratch and the same MAC ladder; the traced one only adds a tracer.
+  // Metrics and every counter, the sim.* kernel ones included, must not
+  // depend on whether the run was traced.
   const auto configs = TestConfigs();
   auto traced = BaseOptions(4);
   auto untraced = BaseOptions(4);
   untraced.capture_traces = false;
-
-  const auto strip_sim = [](const std::vector<trace::CounterSample>& counters) {
-    std::vector<trace::CounterSample> layer;
-    for (const auto& sample : counters) {
-      if (!sample.name.starts_with("sim.")) layer.push_back(sample);
-    }
-    return layer;
-  };
 
   const auto with_traces = RunSweep(configs, traced);
   const auto without_traces = RunSweep(configs, untraced);
@@ -278,10 +269,9 @@ TEST(Determinism, SweepScratchPathMatchesTracedPathMetrics) {
   for (std::size_t i = 0; i < with_traces.size(); ++i) {
     ExpectMetricsIdentical(with_traces[i].measured, without_traces[i].measured,
                            i);
-    const auto layer_traced = strip_sim(with_traces[i].counters);
-    const auto layer_scratch = strip_sim(without_traces[i].counters);
-    EXPECT_FALSE(layer_traced.empty()) << "config " << i;
-    EXPECT_TRUE(layer_traced == layer_scratch) << "config " << i;
+    EXPECT_FALSE(with_traces[i].counters.empty()) << "config " << i;
+    EXPECT_TRUE(with_traces[i].counters == without_traces[i].counters)
+        << "config " << i;
   }
 }
 

@@ -1,15 +1,20 @@
 // Unit tests for the CSMA-CA MAC state machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "channel/channel.h"
+#include "channel/medium.h"
 #include "mac/csma_mac.h"
 #include "phy/cc2420.h"
 #include "phy/frame.h"
 #include "phy/timing.h"
 #include "sim/simulator.h"
+#include "trace/trace.h"
 #include "util/rng.h"
 
 namespace wsnlink::mac {
@@ -236,6 +241,101 @@ TEST(CsmaMac, AttemptSnrRecorded) {
   EXPECT_GT(h.attempts[0].snr_db, 30.0);
   EXPECT_EQ(h.attempts[0].payload_bytes, 40);
   EXPECT_EQ(h.attempts[0].attempt, 1);
+}
+
+
+/// Everything one CsmaMac run reports, for comparing its two drivers.
+struct LadderRun {
+  std::vector<SendResult> results;
+  std::vector<DeliveryInfo> deliveries;
+  std::vector<AttemptInfo> attempts;
+  std::vector<trace::TraceEvent> events;
+  std::uint64_t cca_busy = 0;
+  std::uint64_t events_executed = 0;
+};
+
+/// Sends `packets` back to back (each from the previous one's done
+/// callback), traced. With `lone_medium` the channel joins a shared medium
+/// as its only node: the MAC then drives its ladder with one simulator
+/// event per step instead of inline, while the physics stays the same
+/// (Medium::BusyAt excludes the listener, StrongestOverlapDbm the sender's
+/// own frames).
+LadderRun RunLadder(const channel::ChannelConfig& config, MacParams params,
+                    std::uint64_t seed, int packets, bool lone_medium) {
+  sim::Simulator simulator;
+  channel::Medium medium;
+  channel::Channel channel(config, util::Rng(seed));
+  if (lone_medium) channel.AttachMedium(&medium, 0);
+  CsmaMac mac(simulator, channel, params, util::Rng(seed + 1));
+  trace::Tracer tracer;
+  trace::TraceContext ctx;
+  ctx.tracer = &tracer;
+  mac.AttachTrace(ctx);
+
+  LadderRun run;
+  mac.SetDeliveryCallback(
+      [&run](const DeliveryInfo& info) { run.deliveries.push_back(info); });
+  mac.SetAttemptCallback(
+      [&run](const AttemptInfo& info) { run.attempts.push_back(info); });
+  std::uint64_t next_id = 0;
+  std::function<void(const SendResult&)> on_done =
+      [&](const SendResult& result) {
+        run.results.push_back(result);
+        if (++next_id < static_cast<std::uint64_t>(packets)) {
+          mac.Send(next_id, 90, on_done);
+        }
+      };
+  mac.Send(next_id, 90, on_done);
+  simulator.Run();
+
+  run.events = tracer.Events();
+  run.cca_busy = mac.CcaBusyCount();
+  run.events_executed = simulator.EventsExecuted();
+  return run;
+}
+
+TEST(CsmaMac, InlineAndScheduledDriversRunTheSameLadder) {
+  // A grey-zone link with frequent long noise bursts and a busy
+  // interferer: retries, lost ACKs, congestion backoffs and CCA-exhausted
+  // attempts all occur. Both a zero D_retry (a real zero-delay event in
+  // the scheduled driver) and a nonzero one are covered.
+  channel::ChannelConfig config;
+  config.distance_m = 35.0;
+  config.noise.burst_rate_hz = 25.0;
+  config.interferer.duty_cycle = 0.2;
+  for (const sim::Duration retry_delay : {sim::Duration{0},
+                                          sim::FromMilliseconds(5.0)}) {
+    for (const std::uint64_t seed : {11u, 12u, 13u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " retry_delay " +
+                   std::to_string(retry_delay));
+      MacParams params;
+      params.max_tries = 4;
+      params.retry_delay = retry_delay;
+      params.pa_level = 7;
+      const auto inline_run = RunLadder(config, params, seed, 80, false);
+      const auto scheduled_run = RunLadder(config, params, seed, 80, true);
+
+      ASSERT_EQ(inline_run.results.size(), 80u);
+      EXPECT_TRUE(inline_run.results == scheduled_run.results);
+      EXPECT_TRUE(inline_run.deliveries == scheduled_run.deliveries);
+      EXPECT_TRUE(inline_run.attempts == scheduled_run.attempts);
+      EXPECT_TRUE(inline_run.events == scheduled_run.events);
+      EXPECT_EQ(inline_run.cca_busy, scheduled_run.cca_busy);
+      // Both drivers really ran: inline schedules one event per packet.
+      EXPECT_EQ(inline_run.events_executed, 80u);
+      EXPECT_GT(scheduled_run.events_executed, 5u * 80u);
+
+      // The ladder's rare branches were exercised.
+      EXPECT_GT(inline_run.cca_busy, 0u);
+      EXPECT_TRUE(std::any_of(inline_run.events.begin(),
+                              inline_run.events.end(),
+                              [](const trace::TraceEvent& e) {
+                                return e.type == trace::EventType::kCcaBusy &&
+                                       e.arg0 == 0;
+                              }));
+      EXPECT_LT(inline_run.deliveries.size(), inline_run.attempts.size());
+    }
+  }
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ TEST(LinkSimulation, RunsToCompletion) {
   // Strong link: near-perfect delivery.
   EXPECT_GT(result.unique_delivered, 195u);
   EXPECT_GT(result.end_time, 0);
-  // Untraced runs use the MAC's collapsed fast path: at least one arrival
+  // The MAC runs its ladder inline on a private link: at least one arrival
   // event and one completion event per generated packet still go through
   // the simulator.
   EXPECT_GE(result.events_executed, 2u * 200u);

@@ -1,12 +1,13 @@
 // Property suite locking down the sweep-executor overhaul.
 //
-// The performance work (shared pool, chunked dispatch, collapsed MAC fast
-// path, analytic prescreen) is only admissible because it changes *nothing*
+// The performance work (shared pool, chunked dispatch, inline MAC ladder,
+// analytic prescreen) is only admissible because it changes *nothing*
 // observable. This file pins that:
 //  * bit-identical metrics, counters and traces across worker counts
 //    {1, 4, 16} crossed with several chunk sizes;
-//  * the untraced collapsed MAC path produces the same metrics and the
-//    same MAC/link/app counters as the traced event-by-event path;
+//  * a traced sweep runs the same code path as an untraced one: same
+//    metrics, every counter (the kernel's sim.* ones included) and the
+//    same executed-event count;
 //  * analytic prescreen leaves every simulated point bit-identical to the
 //    same index in an un-prescreened sweep, and every skipped point equal
 //    to the scalar ModelSet::Predict of its config;
@@ -18,12 +19,13 @@
 
 #include <algorithm>
 #include <cstring>
-#include <string_view>
 #include <vector>
 
 #include "core/models/model_set.h"
 #include "core/opt/config_space.h"
 #include "experiment/sweep.h"
+#include "node/link_simulation.h"
+#include "trace/trace.h"
 
 namespace wsnlink {
 namespace {
@@ -110,10 +112,9 @@ TEST(PerfInvariance, EffectiveChunkSizeIsSaneAndBounded) {
   }
 }
 
-// The untraced sweep uses CsmaMac's collapsed fast path (one synchronous
-// pass per packet); the traced sweep keeps the original event-per-hop
-// chain so the trace ring stays time-ordered. Both must agree on every
-// observable except the simulator's own event bookkeeping.
+// Tracing only observes: the traced sweep runs CsmaMac's inline ladder and
+// the worker scratch exactly like the untraced one, so every counter —
+// the simulator's own event bookkeeping included — must agree.
 TEST(PerfInvariance, TracedAndUntracedPathsAgree) {
   const auto configs = SliceOfTableI(6);
 
@@ -129,26 +130,64 @@ TEST(PerfInvariance, TracedAndUntracedPathsAgree) {
   ASSERT_EQ(fast.size(), traced.size());
   for (std::size_t i = 0; i < fast.size(); ++i) {
     ExpectSamePoint(fast[i], traced[i], i);
-    // Counters must match except the sim.* family: the collapsed path
-    // executes fewer simulator events by design.
-    auto NonSim = [](const std::vector<trace::CounterSample>& samples) {
-      std::vector<trace::CounterSample> kept;
-      for (const auto& s : samples) {
-        if (std::string_view(s.name).substr(0, 4) != "sim.") {
-          kept.push_back(s);
-        }
-      }
-      return kept;
-    };
-    EXPECT_TRUE(NonSim(fast[i].counters) == NonSim(traced[i].counters))
-        << "config " << i;
+    EXPECT_FALSE(fast[i].counters.empty()) << "config " << i;
+    EXPECT_TRUE(fast[i].counters == traced[i].counters) << "config " << i;
+    EXPECT_TRUE(fast[i].events.empty()) << "config " << i;
     EXPECT_FALSE(traced[i].events.empty()) << "config " << i;
+  }
+
+  // The same holds for a single run's executed-event count.
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    node::SimulationOptions run;
+    run.config = configs[i];
+    run.seed = experiment::SweepSeed(options.base_seed, i);
+    run.packet_count = options.packet_count;
+    const auto untraced_run = node::RunLinkSimulation(run);
+    trace::Tracer tracer;
+    run.tracer = &tracer;
+    const auto traced_run = node::RunLinkSimulation(run);
+    EXPECT_EQ(untraced_run.events_executed, traced_run.events_executed)
+        << "config " << i;
+    EXPECT_TRUE(untraced_run.counters == traced_run.counters) << "config " << i;
+  }
+}
+
+// A traced sweep attaches its per-run tracer to the worker's recycled
+// scratch; nothing of it may survive into the next run on that thread (a
+// stale tracer pointer would write into a freed ring, which the sanitizer
+// jobs catch, or change the untraced run's results).
+TEST(PerfInvariance, TracedSweepLeavesNoTracerInWorkerScratch) {
+  const auto configs = SliceOfTableI(4);
+
+  experiment::SweepOptions untraced;
+  untraced.base_seed = 99;
+  untraced.packet_count = 60;
+  untraced.threads = 1;
+  untraced.collect_counters = false;
+  const auto before = RunSweep(configs, untraced);
+
+  auto traced = untraced;
+  traced.capture_traces = true;
+  traced.trace_capacity = 64;  // small ring: every run wraps it
+  const auto with_traces = RunSweep(configs, traced);
+
+  const auto after = RunSweep(configs, untraced);
+  ASSERT_EQ(before.size(), after.size());
+  ASSERT_EQ(before.size(), with_traces.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    ExpectSamePoint(before[i], with_traces[i], i);
+    ExpectSamePoint(before[i], after[i], i);
+    EXPECT_EQ(with_traces[i].events.size(), 64u) << "config " << i;
+    EXPECT_TRUE(after[i].events.empty()) << "config " << i;
+    EXPECT_TRUE(after[i].counters.empty()) << "config " << i;
   }
 }
 
 TEST(PerfInvariance, PrescreenKeepsSimulatedPointsBitIdentical) {
   const auto configs = SliceOfTableI(40);
-  const auto mask = experiment::PrescreenMask(configs, 0.10);
+  const auto screen = experiment::PrescreenConfigs(configs, 0.10);
+  const auto& mask = screen.keep;
+  ASSERT_EQ(screen.predictions.size(), configs.size());
   const auto kept = static_cast<std::size_t>(
       std::count(mask.begin(), mask.end(), true));
   // The screen must actually screen: some configs simulated, some skipped.

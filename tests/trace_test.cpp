@@ -57,6 +57,30 @@ TEST(Trace, RingOverwritesOldestWhenFull) {
   for (int i = 0; i < 4; ++i) EXPECT_EQ(events[i].at, 6 + i);
 }
 
+TEST(Trace, EventsAreTimeOrderedAfterRingWraps) {
+  // Emitters may run ahead of the clock (the CSMA MAC's inline ladder
+  // emits a packet's whole attempt sequence at once), so emission order is
+  // not time order. Events() restores time order over what the ring kept;
+  // equal timestamps keep their emission order.
+  trace::Tracer tracer(6);
+  const sim::Time times[] = {5, 1, 9, 40, 20, 30, 20, 25, 10, 35};
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    tracer.Emit({times[i], EventType::kCcaBusy, trace::Layer::kMac, i, 0, 0,
+                 0.0});
+  }
+  EXPECT_EQ(tracer.DroppedCount(), 4u);
+  const auto events = tracer.Events();
+  // The six most recently emitted survive: ids 4..9.
+  ASSERT_EQ(events.size(), 6u);
+  const std::uint64_t expected_ids[] = {8, 4, 6, 7, 5, 9};
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].packet_id, expected_ids[i]) << "position " << i;
+    if (i > 0) {
+      EXPECT_LE(events[i - 1].at, events[i].at) << "position " << i;
+    }
+  }
+}
+
 TEST(Trace, ClearForgetsEvents) {
   trace::Tracer tracer(4);
   tracer.Emit({1, EventType::kCcaBusy, trace::Layer::kMac, 0, 0, 0, 0.0});
