@@ -1,6 +1,6 @@
 // Fixture: a wsnlint:hot-path root whose banned-API violations live two
-// calls away in other translation units. wsnlint polices this file itself;
-// wsnstatic must follow the calls out of it.
+// calls away in other translation units. no-hot-alloc polices this file
+// itself; hot-path-transitive must follow the calls out of it.
 // wsnlint:hot-path
 
 namespace fixture {

@@ -1,5 +1,5 @@
 // Fixture: wall-clock read two calls below a hot root — must be flagged
-// as hot-path-transitive ambient entropy.
+// as hot-path-transitive ambient entropy (and, being in src/, no-wallclock).
 #include <chrono>
 
 namespace fixture {

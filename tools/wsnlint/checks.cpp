@@ -1,15 +1,26 @@
-#include "checks.h"
-
-#include <algorithm>
+// The cross-TU rule families (docs/STATIC_ANALYSIS.md has the catalog):
+//   serdes-complete     serialize/parse pairs declared by a serdes
+//                       (Struct, WriteFn, ReadFn) marker cover every field
+//                       of the struct
+//   hot-path-transitive the no-hot-alloc / no-wallclock bans propagate from
+//                       wsnlint:hot-path roots through the call graph
+//                       instead of stopping at file boundaries
+//   lp-isolation        no unjustified mutable static state in files
+//                       reachable from the worker pool, the sweep workers,
+//                       or the serve/ handlers (state shared across threads)
+//   layer-dag           quoted includes respect the directory layering
+//                       util < sim/trace < phy/channel < mac/core < link <
+//                       app < node < metrics < experiment/validate < serve
+#include <cctype>
 #include <map>
 #include <regex>
 #include <set>
 #include <utility>
 
-namespace wsnstatic {
-namespace {
+#include "rules.h"
 
-using analysis::Finding;
+namespace wsnlint {
+namespace {
 
 std::string Qualified(const FunctionInfo& fn) {
   return fn.class_name.empty() ? fn.name : fn.class_name + "::" + fn.name;
@@ -45,7 +56,7 @@ using TransientMap = std::map<std::string, std::vector<TransientEntry>>;
 TransientMap CollectTransients(const Index& index, std::vector<Finding>* out) {
   TransientMap map;
   for (const SourceFile& file : index.files) {
-    for (const analysis::Marker& marker : file.markers) {
+    for (const Marker& marker : file.markers) {
       if (marker.verb != "transient") continue;
       if (marker.ids.empty()) {
         out->push_back({file.path, marker.line, "marker-directive",
@@ -121,7 +132,7 @@ void CheckRoundTrip(const ClassInfo& cls, const std::string& save_body,
 void CheckSerdes(const Index& index, TransientMap& transients,
                  std::vector<Finding>* out) {
   for (const SourceFile& file : index.files) {
-    for (const analysis::Marker& marker : file.markers) {
+    for (const Marker& marker : file.markers) {
       if (marker.verb != "serdes") continue;
       if (marker.ids.size() != 3) {
         out->push_back(
@@ -167,7 +178,7 @@ void CheckSerdes(const Index& index, TransientMap& transients,
 // --- family 2: transitive hot-path purity -----------------------------------
 
 void CheckHotPaths(const Index& index, std::vector<Finding>* out) {
-  // Roots: every function defined in a wsnlint:hot-path file. wsnlint
+  // Roots: every function defined in a wsnlint:hot-path file. no-hot-alloc
   // already polices those files token-by-token; this rule follows calls
   // out of them, matching callees by unqualified name (a deliberate
   // over-approximation: a shared name means the body may run hot).
@@ -200,37 +211,19 @@ void CheckHotPaths(const Index& index, std::vector<Finding>* out) {
     }
   }
 
-  static const std::regex kHeapCall(
-      R"(\bmake_(unique|shared)\s*<|\b(malloc|calloc|realloc|strdup)\s*\()");
-  static const std::regex kNew(R"(\bnew\b)");
-  static const std::regex kOperatorPrefix(R"(operator\s*$)");
-  static const std::regex kWallclock(
-      R"((\bstd::rand\b|\bsrand\s*\(|\brand\s*\(|\brandom_device\b)"
-      R"(|\bsystem_clock\b|\bsteady_clock\b|\bhigh_resolution_clock\b)"
-      R"(|\bgettimeofday\b|\btime\s*\(\s*(nullptr|NULL|0)\s*\))"
-      R"(|\bclock\s*\(\s*\)))");
+  static const std::regex kWallclock(kWallclockTokens);
 
   for (std::size_t i = 0; i < index.functions.size(); ++i) {
     if (!visited[i]) continue;
     const FunctionInfo& fn = index.functions[i];
     const SourceFile* file = index.FileByPath(fn.file);
-    if (!file || file->hot_path) continue;  // roots are wsnlint's job
+    if (!file || file->hot_path) continue;  // roots are no-hot-alloc's job
     const std::string body = BodyText(index, fn);
-    const std::vector<std::string> lines = analysis::SplitLines(body);
+    const std::vector<std::string> lines = SplitLines(body);
     const int first_line = Index::LineOf(*file, fn.body_begin);
     for (std::size_t l = 0; l < lines.size(); ++l) {
       const std::string& line = lines[l];
-      bool heap = std::regex_search(line, kHeapCall);
-      for (auto it = std::sregex_iterator(line.begin(), line.end(), kNew);
-           !heap && it != std::sregex_iterator(); ++it) {
-        const std::size_t pos = static_cast<std::size_t>(it->position());
-        if (std::regex_search(line.substr(0, pos), kOperatorPrefix)) continue;
-        std::size_t after = pos + 3;
-        while (after < line.size() && line[after] == ' ') ++after;
-        if (after < line.size() && line[after] == '(') continue;  // placement
-        heap = true;
-      }
-      if (heap) {
+      if (AllocatesOnHeap(line)) {
         out->push_back(
             {fn.file, first_line + static_cast<int>(l), "hot-path-transitive",
              "heap allocation in '" + Qualified(fn) +
@@ -251,10 +244,9 @@ void CheckHotPaths(const Index& index, std::vector<Finding>* out) {
 
 // --- family 3: shared-state isolation (rule id lp-isolation) ----------------
 
-bool IsLpRoot(const std::string& path) {
-  return EndsWith(path, "util/thread_pool.cpp") ||
-         EndsWith(path, "experiment/sweep.cpp") ||
-         path.find("serve/") != std::string::npos;
+bool IsLpRoot(const SourceFile& file) {
+  return file.path == "src/util/thread_pool.cpp" ||
+         file.path == "src/experiment/sweep.cpp" || file.UnderSrc("serve/");
 }
 
 void CheckLpIsolation(const Index& index, std::vector<Finding>* out) {
@@ -276,7 +268,7 @@ void CheckLpIsolation(const Index& index, std::vector<Finding>* out) {
   std::vector<std::string> origin(index.files.size());
   std::vector<std::size_t> worklist;
   for (std::size_t i = 0; i < index.files.size(); ++i) {
-    if (IsLpRoot(index.files[i].path)) {
+    if (IsLpRoot(index.files[i])) {
       reachable[i] = true;
       origin[i] = index.files[i].path;
       worklist.push_back(i);
@@ -294,7 +286,7 @@ void CheckLpIsolation(const Index& index, std::vector<Finding>* out) {
     for (const Include& include : file.includes) {
       visit(resolve(include.target), origin[file_index]);
     }
-    if (EndsWith(file.path, ".h")) {
+    if (file.IsHeader()) {
       visit(resolve(file.path.substr(0, file.path.size() - 2) + ".cpp"),
             origin[file_index]);
     }
@@ -380,19 +372,23 @@ const std::map<std::string, int>& LayerLevels() {
   return kLevels;
 }
 
-std::string LayerDirOf(const std::string& path) {
-  const std::size_t src = path.rfind("src/");
-  if (src == std::string::npos) return "";
-  const std::size_t begin = src + 4;
-  const std::size_t slash = path.find('/', begin);
+// Reviewed upward edges tolerated by layer-dag, as (from_dir, to_dir)
+// pairs, each with a comment giving its reason. Empty: the DAG is strict.
+const std::set<std::pair<std::string, std::string>> kLayerEscapes = {};
+
+// The layer directory of a file under src/ ("" elsewhere).
+std::string LayerDirOf(const SourceFile& file) {
+  if (!file.UnderSrc()) return "";
+  const std::size_t begin = std::string("src/").size();
+  const std::size_t slash = file.path.find('/', begin);
   if (slash == std::string::npos) return "";
-  return path.substr(begin, slash - begin);
+  return file.path.substr(begin, slash - begin);
 }
 
 void CheckLayerDag(const Index& index, std::vector<Finding>* out) {
   const auto& levels = LayerLevels();
   for (const SourceFile& file : index.files) {
-    const std::string from_dir = LayerDirOf(file.path);
+    const std::string from_dir = LayerDirOf(file);
     const auto from_it = levels.find(from_dir);
     if (from_it == levels.end()) continue;
     for (const Include& include : file.includes) {
@@ -402,14 +398,7 @@ void CheckLayerDag(const Index& index, std::vector<Finding>* out) {
       const auto to_it = levels.find(to_dir);
       if (to_it == levels.end()) continue;
       if (to_it->second <= from_it->second) continue;
-      bool escaped = false;
-      for (const LayerEscape& escape : LayerEscapes()) {
-        if (escape.from_dir == from_dir && escape.to_dir == to_dir) {
-          escaped = true;
-          break;
-        }
-      }
-      if (escaped) continue;
+      if (kLayerEscapes.count({from_dir, to_dir}) != 0) continue;
       out->push_back(
           {file.path, include.line, "layer-dag",
            "include \"" + include.target + "\" points upward: " + from_dir +
@@ -417,7 +406,7 @@ void CheckLayerDag(const Index& index, std::vector<Finding>* out) {
                ") may not depend on " + to_dir + " (level " +
                std::to_string(to_it->second) +
                "); invert the dependency or add a reviewed escape hatch in "
-               "tools/wsnstatic/checks.cpp"});
+               "tools/wsnlint/checks.cpp"});
     }
   }
 }
@@ -445,40 +434,6 @@ void ReportTransientProblems(const TransientMap& transients,
 
 }  // namespace
 
-const std::vector<RuleInfo>& Rules() {
-  static const std::vector<RuleInfo> kRules = {
-      {"serdes-complete",
-       "every field of a struct registered via wsnstatic:serdes(Struct, "
-       "WriteFn, ReadFn) is written by WriteFn and read back by ReadFn"},
-      {"hot-path-transitive",
-       "no heap allocation or wall-clock/entropy reads in functions "
-       "reachable from wsnlint:hot-path roots through the cross-TU call "
-       "graph"},
-      {"lp-isolation",
-       "no unjustified mutable static state (shared across threads) in "
-       "files reachable from the worker pool, the sweep workers, or serve/ "
-       "handlers"},
-      {"layer-dag",
-       "quoted includes respect the layer order util < sim/trace < "
-       "phy/channel < mac/core < link < app < node < metrics < "
-       "experiment/validate < serve"},
-  };
-  return kRules;
-}
-
-bool IsKnownRule(const std::string& id) {
-  const auto& rules = Rules();
-  return std::any_of(rules.begin(), rules.end(),
-                     [&](const RuleInfo& r) { return r.id == id; });
-}
-
-const std::vector<LayerEscape>& LayerEscapes() {
-  static const std::vector<LayerEscape> kEscapes = {
-      // (no tolerated upward edges today; add entries only with review)
-  };
-  return kEscapes;
-}
-
 std::vector<Finding> CheckIndex(const Index& index) {
   std::vector<Finding> raw;
   TransientMap transients = CollectTransients(index, &raw);
@@ -488,22 +443,21 @@ std::vector<Finding> CheckIndex(const Index& index) {
   CheckLayerDag(index, &raw);
   ReportTransientProblems(transients, &raw);
 
-  // Apply file-scope wsnstatic:allow directives per file, sharing the
-  // justification/stale bookkeeping (and its exact messages) with wsnlint.
+  // Apply each file's wsnstatic:allow directives to its findings; a file
+  // with none still gets its directives checked for staleness.
   std::map<std::string, std::vector<Finding>> by_file;
   for (Finding& finding : raw) {
     by_file[finding.file].push_back(std::move(finding));
   }
   std::vector<Finding> kept;
   for (const SourceFile& file : index.files) {
-    std::vector<analysis::Allow> allows = analysis::ParseAllows(
-        "wsnstatic", file.path, file.scan.comments, IsKnownRule, &kept);
     auto it = by_file.find(file.path);
     std::vector<Finding> file_findings;
-    if (it != by_file.end()) file_findings = std::move(it->second);
-    analysis::ApplyAllows("wsnstatic", file.path, allows,
-                          std::move(file_findings), &kept);
-    if (it != by_file.end()) by_file.erase(it);
+    if (it != by_file.end()) {
+      file_findings = std::move(it->second);
+      by_file.erase(it);
+    }
+    ApplyAllows("wsnstatic", file, std::move(file_findings), &kept);
   }
   // Findings attributed to paths outside the index (should not happen, but
   // never drop a finding silently).
@@ -513,4 +467,4 @@ std::vector<Finding> CheckIndex(const Index& index) {
   return kept;
 }
 
-}  // namespace wsnstatic
+}  // namespace wsnlint

@@ -7,7 +7,7 @@
 #include <tuple>
 #include <utility>
 
-namespace wsnstatic {
+namespace wsnlint {
 namespace {
 
 bool IsIdentChar(char c) {
@@ -185,8 +185,8 @@ std::size_t FindInitializerEq(const std::string& text) {
   return std::string::npos;
 }
 
-/// Parses one `;`-terminated statement at class scope into a member or a
-/// declared method name.
+/// Parses one `;`-terminated statement at class scope; records it when it
+/// declares a data member.
 void ParseClassStatement(const std::string& raw_head, int line,
                          ClassInfo* cls) {
   const std::string head = StripLabelsAndAttributes(raw_head);
@@ -212,30 +212,7 @@ void ParseClassStatement(const std::string& raw_head, int line,
   for (int pass = 0; pass < 4; ++pass) {
     tail = std::regex_replace(tail, kTrailingSpecifier, "");
   }
-  if (!tail.empty() && tail.back() == ')') {
-    int depth = 0;
-    std::size_t open = std::string::npos;
-    for (std::size_t i = tail.size(); i-- > 0;) {
-      if (tail[i] == ')') ++depth;
-      if (tail[i] == '(' && --depth == 0) {
-        open = i;
-        break;
-      }
-    }
-    if (open != std::string::npos) {
-      std::size_t end = open;
-      while (end > 0 &&
-             std::isspace(static_cast<unsigned char>(tail[end - 1]))) {
-        --end;
-      }
-      const std::string name = QualifiedNameEndingAt(tail, end);
-      if (!name.empty() && name.find("::") == std::string::npos &&
-          name[0] != '~' && !IsKeyword(name)) {
-        cls->method_names.push_back(name);
-      }
-    }
-    return;
-  }
+  if (!tail.empty() && tail.back() == ')') return;
   // Reference members bind in the constructor and cannot be reseated;
   // const/mutable members are configuration or synchronization, not
   // logical state — none of them belong in a serialized image.
@@ -330,14 +307,11 @@ void ParseStructure(SourceFile* file, Index* out) {
                  statement.find('(') == std::string::npos) {
         scope.kind = ScopeKind::kClass;
         scope.class_index = out->classes.size();
-        out->classes.push_back({match[3].str(), file->path, head_line, {}, {}});
+        out->classes.push_back({match[3].str(), file->path, head_line, {}});
       } else if (ClassifyFunctionHead(
                      statement,
                      enclosing_class() ? enclosing_class()->name : "", &name,
                      &class_name)) {
-        if (ClassInfo* cls = enclosing_class()) {
-          cls->method_names.push_back(name);
-        }
         scope.kind = ScopeKind::kFunction;
         scope.function_index = out->functions.size();
         out->functions.push_back(
@@ -410,14 +384,6 @@ std::vector<const FunctionInfo*> Index::FunctionsNamed(
   return out;
 }
 
-const FunctionInfo* Index::Method(const std::string& class_name,
-                                  const std::string& name) const {
-  for (const FunctionInfo& fn : functions) {
-    if (fn.class_name == class_name && fn.name == name) return &fn;
-  }
-  return nullptr;
-}
-
 int Index::LineOf(const SourceFile& file, std::size_t offset) {
   int line = 1;
   const std::size_t end = std::min(offset, file.scan.code.size());
@@ -427,31 +393,18 @@ int Index::LineOf(const SourceFile& file, std::size_t offset) {
   return line;
 }
 
-Index BuildIndex(std::vector<std::pair<std::string, std::string>> sources) {
+Index BuildIndex(std::vector<SourceFile> files) {
   Index index;
-  std::sort(sources.begin(), sources.end());
+  index.files = std::move(files);
   static const std::regex kInclude(R"re(^\s*#\s*include\s*"([^"]+)")re");
-  for (auto& [path, content] : sources) {
-    SourceFile file;
-    file.path = path;
-    file.content = std::move(content);
-    file.scan = analysis::ScanSource(file.content);
-    file.code_lines = analysis::SplitLines(file.scan.code);
-    file.markers = analysis::ParseMarkers("wsnstatic", file.scan.comments);
-    for (const analysis::Comment& comment : file.scan.comments) {
-      if (comment.text.find("wsnlint:hot-path") != std::string::npos) {
-        file.hot_path = true;
-      }
-    }
+  for (SourceFile& file : index.files) {
+    file.markers = ParseMarkers("wsnstatic", file.scan.comments);
     std::smatch match;
     for (std::size_t i = 0; i < file.code_lines.size(); ++i) {
       if (std::regex_search(file.code_lines[i], match, kInclude)) {
         file.includes.push_back({match[1].str(), static_cast<int>(i) + 1});
       }
     }
-    index.files.push_back(std::move(file));
-  }
-  for (SourceFile& file : index.files) {
     ParseStructure(&file, &index);
   }
   for (FunctionInfo& fn : index.functions) {
@@ -474,4 +427,4 @@ Index BuildIndex(std::vector<std::pair<std::string, std::string>> sources) {
   return index;
 }
 
-}  // namespace wsnstatic
+}  // namespace wsnlint

@@ -1,13 +1,12 @@
-// Cross-translation-unit structural index for wsnstatic.
+// Cross-translation-unit structural index for the cross-TU rule families.
 //
-// Where wsnlint (tools/wsnlint) is a per-file token linter, wsnstatic needs
+// The per-file rules are token checks; the cross-TU families need
 // *structure*: which classes exist, what data members they declare, which
 // functions are defined where (including out-of-line `Class::Method`
 // bodies), what each body calls, and what each file includes. This header
 // defines that index; index.cpp builds it from the blanked code view
-// produced by analysis::ScanSource, with a brace/paren-matching statement
-// walker — still no libclang, so the analyzer builds anywhere the simulator
-// does.
+// produced by ScanSource, with a brace/paren-matching statement walker —
+// still no libclang, so the analyzer builds anywhere the simulator does.
 //
 // The parse is deliberately conservative and convention-driven (the repo is
 // clang-format'd Google style): depth-1 member declarations, functions
@@ -19,16 +18,9 @@
 #include <string>
 #include <vector>
 
-#include "markers.h"
-#include "source_scanner.h"
+#include "source.h"
 
-namespace wsnstatic {
-
-/// One quoted include directive (`#include "dir/file.h"`).
-struct Include {
-  std::string target;  // include path as written, '/'-separated
-  int line = 0;        // 1-based
-};
+namespace wsnlint {
 
 /// One data member declaration. Only per-instance mutable state is
 /// recorded: `static`, `const`, `mutable`, and reference members are
@@ -44,7 +36,6 @@ struct ClassInfo {
   std::string file;
   int line = 0;
   std::vector<Member> members;
-  std::vector<std::string> method_names;  // declared or defined in-class
 };
 
 /// One function *definition* (a body was found).
@@ -56,17 +47,6 @@ struct FunctionInfo {
   std::size_t body_begin = 0;       // offsets into the file's blanked code
   std::size_t body_end = 0;         // [begin, end) excludes the braces
   std::vector<std::string> calls;   // unqualified callee names, sorted+deduped
-};
-
-/// One analyzed source file.
-struct SourceFile {
-  std::string path;  // repo-relative, '/'-separated
-  std::string content;
-  analysis::ScanResult scan;
-  std::vector<std::string> code_lines;       // SplitLines(scan.code)
-  std::vector<analysis::Marker> markers;     // wsnstatic:* directives
-  bool hot_path = false;                     // carries wsnlint:hot-path
-  std::vector<Include> includes;
 };
 
 /// The whole-tree index. Vectors are sorted (files by path, classes by
@@ -84,16 +64,12 @@ struct Index {
   /// All function definitions with the given unqualified name.
   [[nodiscard]] std::vector<const FunctionInfo*> FunctionsNamed(
       const std::string& name) const;
-  /// The definition of `class_name::name`, or nullptr. When several exist
-  /// (overloads), the first in index order is returned.
-  [[nodiscard]] const FunctionInfo* Method(const std::string& class_name,
-                                           const std::string& name) const;
   /// 1-based line of byte `offset` within `file`'s code view.
   [[nodiscard]] static int LineOf(const SourceFile& file, std::size_t offset);
 };
 
-/// Builds the index from (path, content) pairs.
-[[nodiscard]] Index BuildIndex(
-    std::vector<std::pair<std::string, std::string>> sources);
+/// Builds the index from `files` (sorted by path) and fills each file's
+/// `markers` and `includes`.
+[[nodiscard]] Index BuildIndex(std::vector<SourceFile> files);
 
-}  // namespace wsnstatic
+}  // namespace wsnlint

@@ -1,9 +1,14 @@
-#include "source_scanner.h"
+#include "source.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstddef>
+#include <regex>
+#include <sstream>
+#include <tuple>
+#include <utility>
 
-namespace analysis {
+namespace wsnlint {
 namespace {
 
 bool IsIdentChar(char c) {
@@ -218,4 +223,89 @@ std::vector<std::string> SplitLines(const std::string& text) {
   return lines;
 }
 
-}  // namespace analysis
+
+std::string FormatFindings(std::vector<Finding> findings) {
+  std::sort(findings.begin(), findings.end(),
+            [](const Finding& a, const Finding& b) {
+              return std::tie(a.file, a.line, a.rule, a.message) <
+                     std::tie(b.file, b.line, b.rule, b.message);
+            });
+  std::string out;
+  for (const Finding& f : findings) {
+    out += f.file + ":" + std::to_string(f.line) + ":" + f.rule + ": " +
+           f.message + "\n";
+  }
+  return out;
+}
+
+namespace {
+
+std::string Trim(const std::string& text) {
+  const auto begin = text.find_first_not_of(" \t");
+  if (begin == std::string::npos) return "";
+  const auto end = text.find_last_not_of(" \t");
+  return text.substr(begin, end - begin + 1);
+}
+
+std::vector<std::string> SplitIds(const std::string& ids) {
+  std::vector<std::string> out;
+  std::stringstream ss(ids);
+  std::string id;
+  while (std::getline(ss, id, ',')) {
+    id = Trim(id);
+    if (!id.empty()) out.push_back(id);
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<Marker> ParseMarkers(const std::string& prefix,
+                                 const std::vector<Comment>& comments) {
+  std::vector<Marker> markers;
+  // <prefix>:<verb>            (verb-only, e.g. hot-path)
+  // <prefix>:<verb>(ids)       (exemption without reason — reported by caller)
+  // <prefix>:<verb>(ids): why  (full form)
+  const std::regex re(prefix +
+                      R"(:([A-Za-z][A-Za-z0-9\-]*))"
+                      R"((\(\s*([A-Za-z0-9_, \-]+?)\s*\))?)"
+                      R"(\s*(:\s*(\S.*))?)");
+  for (const Comment& comment : comments) {
+    for (auto it = std::sregex_iterator(comment.text.begin(),
+                                        comment.text.end(), re);
+         it != std::sregex_iterator(); ++it) {
+      Marker marker;
+      marker.line = comment.line;
+      marker.verb = (*it)[1].str();
+      if ((*it)[2].matched) marker.ids = SplitIds((*it)[3].str());
+      marker.has_reason = (*it)[4].matched;
+      if (marker.has_reason) marker.reason = Trim((*it)[5].str());
+      markers.push_back(std::move(marker));
+    }
+  }
+  return markers;
+}
+
+bool SourceFile::UnderSrc(const std::string& subdir) const {
+  return path.rfind("src/" + subdir, 0) == 0;
+}
+
+bool SourceFile::IsHeader() const {
+  return path.size() >= 2 && path.compare(path.size() - 2, 2, ".h") == 0;
+}
+
+SourceFile ScanFile(std::string path, std::string content) {
+  SourceFile file;
+  file.path = std::move(path);
+  file.content = std::move(content);
+  file.scan = ScanSource(file.content);
+  file.code_lines = SplitLines(file.scan.code);
+  for (const Comment& comment : file.scan.comments) {
+    if (comment.text.find("wsnlint:hot-path") != std::string::npos) {
+      file.hot_path = true;
+    }
+  }
+  return file;
+}
+
+}  // namespace wsnlint

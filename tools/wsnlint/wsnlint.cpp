@@ -1,51 +1,56 @@
-// wsnlint — the repo's determinism/portability linter (docs/STATIC_ANALYSIS.md).
+// wsnlint — the repo's static analyzer (docs/STATIC_ANALYSIS.md): per-file
+// determinism/portability rules plus cross-TU rules over src/.
 //
 // Usage:
-//   wsnlint [--root DIR] [--fix] [--list-rules] [PATH...]
+//   wsnlint [--root DIR] [--fix] [--list-rules] [--inventory FILE] [PATH...]
 //
 // PATHs (files or directories, relative to --root) default to the full scan
-// set: src bench examples tests tools. Exit status is 0 when clean, 1 when
-// there are findings, 2 on usage or I/O errors. Findings print as
-// `file:line:rule-id: message`, one per line, sorted — the same byte format
-// tests/lint_test.cpp locks with a golden.
+// set: src bench examples tests tools. Every scanned file gets the per-file
+// rules; the scanned files under src/ also form the cross-TU index. Exit
+// status is 0 when clean, 1 when there are findings, 2 on usage or I/O
+// errors. Findings print as `file:line:rule-id: message`, one per line,
+// sorted — the same byte format tests/lint_test.cpp locks with a golden.
+// `--inventory FILE` additionally writes the marker/allow-list inventory
+// (with reasons) that CI publishes as a build artifact; use `-` for stdout.
 #include <cstdio>
 #include <exception>
+#include <fstream>
 #include <string>
-#include <vector>
 
 #include "runner.h"
 
 namespace {
 
-void PrintUsage() {
-  std::fprintf(stderr,
-               "usage: wsnlint [--root DIR] [--fix] [--list-rules] "
-               "[PATH...]\n");
-}
+constexpr const char* kUsage =
+    "usage: wsnlint [--root DIR] [--fix] [--list-rules] [--inventory FILE] "
+    "[PATH...]\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   wsnlint::Options options;
   bool list_rules = false;
+  std::string inventory_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--fix") {
       options.fix = true;
     } else if (arg == "--list-rules") {
       list_rules = true;
-    } else if (arg == "--root") {
+    } else if (arg == "--root" || arg == "--inventory") {
       if (i + 1 >= argc) {
-        PrintUsage();
+        std::fprintf(stderr, "wsnlint: missing value for %s\n%s",
+                     arg.c_str(), kUsage);
         return 2;
       }
-      options.root = argv[++i];
+      std::string& value = arg == "--root" ? options.root : inventory_path;
+      value = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
-      PrintUsage();
+      std::fputs(kUsage, stdout);
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "wsnlint: unknown flag %s\n", arg.c_str());
-      PrintUsage();
+      std::fprintf(stderr, "wsnlint: unknown flag %s\n%s", arg.c_str(),
+                   kUsage);
       return 2;
     } else {
       options.paths.push_back(arg);
@@ -54,15 +59,28 @@ int main(int argc, char** argv) {
 
   if (list_rules) {
     for (const wsnlint::RuleInfo& rule : wsnlint::Rules()) {
-      std::printf("%-20s %s\n", rule.id.c_str(), rule.summary.c_str());
+      std::printf("%-20s %-9s %s\n", rule.id.c_str(),
+                  rule.scope == wsnlint::Scope::kPerFile ? "per-file"
+                                                         : "cross-TU",
+                  rule.summary.c_str());
     }
     return 0;
   }
 
   try {
     const wsnlint::RunResult result = wsnlint::Run(options);
-    const std::string report = analysis::FormatFindings(result.findings);
-    std::fputs(report.c_str(), stdout);
+    std::fputs(wsnlint::FormatFindings(result.findings).c_str(), stdout);
+    if (inventory_path == "-") {
+      std::fputs(result.inventory.c_str(), stdout);
+    } else if (!inventory_path.empty()) {
+      std::ofstream out(inventory_path, std::ios::binary | std::ios::trunc);
+      out << result.inventory;
+      if (!out) {
+        std::fprintf(stderr, "wsnlint: cannot write %s\n",
+                     inventory_path.c_str());
+        return 2;
+      }
+    }
     if (options.fix && result.files_fixed > 0) {
       std::fprintf(stderr, "wsnlint: fixed %d file(s)\n", result.files_fixed);
     }
