@@ -62,6 +62,7 @@ class PacketSink {
   /// Time of the last unique delivery (0 if none).
   [[nodiscard]] sim::Time LastDeliveryAt() const noexcept { return last_at_; }
 
+  // wsnstatic:allow(unreached): test-only; PacketSink tests read the records
   [[nodiscard]] const std::vector<ReceptionRecord>& Receptions() const noexcept {
     return *receptions_;
   }

@@ -52,9 +52,6 @@ class TrafficGenerator {
     return generated_ >= params_.packet_count;
   }
 
-  /// First generated packet id (ids are sequential from here).
-  [[nodiscard]] std::uint64_t FirstPacketId() const noexcept { return 1; }
-
  private:
   void Emit();
 

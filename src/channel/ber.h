@@ -54,6 +54,7 @@ class BerModel {
 class AnalyticOQpskBer final : public BerModel {
  public:
   [[nodiscard]] double BitErrorRate(double snr_db) const override;
+  // wsnstatic:allow(unreached): test-only; only Ber.ModelNamesDistinct
   [[nodiscard]] std::string Name() const override { return "analytic-oqpsk"; }
 };
 
@@ -66,10 +67,8 @@ class CalibratedExponentialBer final : public BerModel {
   [[nodiscard]] double BitErrorRate(double snr_db) const override;
   [[nodiscard]] double FrameSuccessProbability(double snr_db,
                                                int frame_bytes) const override;
+  // wsnstatic:allow(unreached): test-only; only Ber.ModelNamesDistinct
   [[nodiscard]] std::string Name() const override { return "calibrated-exp"; }
-
-  [[nodiscard]] double A() const noexcept { return a_; }
-  [[nodiscard]] double B() const noexcept { return b_; }
 
  private:
   double a_;

@@ -145,7 +145,6 @@ class Channel {
   void BeginTransmission(double tx_power_dbm, sim::Time start, sim::Time end);
 
   [[nodiscard]] const ChannelConfig& Config() const noexcept { return config_; }
-  [[nodiscard]] const BerModel& Ber() const noexcept { return *ber_; }
 
  private:
   ChannelConfig config_;

@@ -40,10 +40,6 @@ class InterfererProcess {
   /// Requires start <= end; both non-decreasing across calls.
   bool ActiveDuring(sim::Time start, sim::Time end);
 
-  [[nodiscard]] const InterfererParams& Params() const noexcept {
-    return params_;
-  }
-
  private:
   void AdvanceTo(sim::Time t);
 

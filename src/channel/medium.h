@@ -105,8 +105,9 @@ class Medium {
 
   [[nodiscard]] const MediumStats& Stats() const noexcept { return stats_; }
 
-  /// Frames currently tracked (diagnostics/tests; includes recently ended
-  /// frames not yet pruned).
+  /// Frames currently tracked (includes recently ended frames not yet
+  /// pruned).
+  // wsnstatic:allow(unreached): test-only; Medium tests bound the pruning
   [[nodiscard]] std::size_t TrackedFrames() const noexcept {
     return frames_.size();
   }

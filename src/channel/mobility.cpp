@@ -36,12 +36,4 @@ double MobilityModel::DistanceAt(sim::Time t) const {
   return params_.min_distance_m + leg;
 }
 
-sim::Duration MobilityModel::Period() const {
-  if (!Enabled()) {
-    throw std::logic_error("MobilityModel::Period: mobility disabled");
-  }
-  const double span = params_.max_distance_m - params_.min_distance_m;
-  return sim::FromSeconds(2.0 * span / params_.speed_mps);
-}
-
 }  // namespace wsnlink::channel

@@ -36,11 +36,6 @@ class MobilityModel {
   /// Distance at simulated time t (pure; callable in any order).
   [[nodiscard]] double DistanceAt(sim::Time t) const;
 
-  /// Time to walk one full period (out and back). Requires Enabled().
-  [[nodiscard]] sim::Duration Period() const;
-
-  [[nodiscard]] const MobilityParams& Params() const noexcept { return params_; }
-
  private:
   MobilityParams params_;
   double start_offset_m_ = 0.0;  // position along the unfolded walk at t=0

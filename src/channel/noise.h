@@ -44,8 +44,6 @@ class NoiseFloorProcess {
   /// clear-channel assessment). Advances the burst schedule like SampleDbm.
   bool InterferenceActive(sim::Time now);
 
-  [[nodiscard]] const NoiseParams& Params() const noexcept { return params_; }
-
  private:
   /// Advances the burst schedule so it covers `now`.
   void AdvanceBursts(sim::Time now);

@@ -40,8 +40,6 @@ class PathLoss {
   /// Draws a static spatial shadowing offset X ~ N(0, sigma_db).
   [[nodiscard]] double SampleSpatialShadow(util::Rng& rng) const;
 
-  [[nodiscard]] const PathLossParams& Params() const noexcept { return params_; }
-
  private:
   PathLossParams params_;
 };

@@ -39,8 +39,6 @@ class ShadowingProcess {
   /// Shadowing offset in dB at simulated time `now`.
   double Sample(sim::Time now);
 
-  [[nodiscard]] const ShadowingParams& Params() const noexcept { return params_; }
-
  private:
   ShadowingParams params_;
   util::Rng rng_;

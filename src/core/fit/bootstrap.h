@@ -22,7 +22,6 @@ struct ConfidenceInterval {
   [[nodiscard]] bool Contains(double x) const noexcept {
     return x >= lo && x <= hi;
   }
-  [[nodiscard]] double Width() const noexcept { return hi - lo; }
 };
 
 /// Point fit plus bootstrap intervals for both coefficients.

@@ -42,15 +42,4 @@ struct ScaledExpFitResult {
 [[nodiscard]] std::optional<ScaledExpFitResult> FitScaledExponential(
     std::span<const ScaledExpSample> samples);
 
-/// Fits a plain exponential y = a * exp(b * x) (used for the path-loss-free
-/// single-payload slices in the figure benches). Same degeneracy rules.
-struct ExpFitResult {
-  double a = 0.0;
-  double b = 0.0;
-  double rmse = 0.0;
-  double log_r_squared = 0.0;
-};
-[[nodiscard]] std::optional<ExpFitResult> FitExponential(
-    std::span<const double> xs, std::span<const double> ys);
-
 }  // namespace wsnlink::core::fit

@@ -33,8 +33,6 @@ class LinkQualityMap {
   [[nodiscard]] int MinPaLevelForSnr(double distance_m,
                                      double target_snr_db) const;
 
-  [[nodiscard]] double NoiseFloorDbm() const noexcept { return noise_floor_dbm_; }
-
  private:
   channel::PathLoss path_loss_;
   double noise_floor_dbm_;

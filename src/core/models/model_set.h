@@ -58,7 +58,6 @@ class ModelSet {
   [[nodiscard]] std::string SummaryTable() const;
 
   [[nodiscard]] const PerModel& Per() const noexcept { return per_; }
-  [[nodiscard]] const NtriesModel& Ntries() const noexcept { return ntries_; }
   [[nodiscard]] const PlrModel& Plr() const noexcept { return plr_; }
   [[nodiscard]] const ServiceTimeModel& Service() const noexcept { return service_; }
   [[nodiscard]] const EnergyModel& Energy() const noexcept { return energy_; }

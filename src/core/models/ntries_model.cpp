@@ -18,6 +18,7 @@ double NtriesModel::MeanTries(int payload_bytes, double snr_db) const {
                    std::exp(coeff_.b * snr_db);
 }
 
+// wsnstatic:allow(unreached): test-only; only NtriesModel.ImpliedFailure* tests
 double NtriesModel::ImpliedAttemptFailure(int payload_bytes,
                                           double snr_db) const {
   const double x = MeanTries(payload_bytes, snr_db) - 1.0;

@@ -59,7 +59,6 @@ class ServiceTimeModel {
   /// time used for utilization and goodput.
   [[nodiscard]] double MeanMs(const ServiceTimeInputs& in) const;
 
-  [[nodiscard]] const NtriesModel& Ntries() const noexcept { return ntries_; }
   [[nodiscard]] const PlrModel& Plr() const noexcept { return plr_; }
 
  private:

@@ -42,7 +42,9 @@ class LinkQualityEstimator {
   [[nodiscard]] double SnrDb() const;
 
   /// Samples observed since construction/Reset.
+  // wsnstatic:allow(unreached): test-only; the estimator tests count samples
   [[nodiscard]] std::size_t Receptions() const noexcept { return receptions_; }
+  // wsnstatic:allow(unreached): test-only; the estimator tests count samples
   [[nodiscard]] std::size_t Losses() const noexcept { return losses_; }
 
   /// Forgets everything (e.g. after a known topology change).
@@ -99,11 +101,6 @@ class AdaptiveController {
 
   /// The currently recommended configuration.
   [[nodiscard]] const StackConfig& Config() const noexcept { return config_; }
-
-  /// The estimator (for inspection / tests).
-  [[nodiscard]] const LinkQualityEstimator& Estimator() const noexcept {
-    return estimator_;
-  }
 
   /// Number of reconfigurations performed so far.
   [[nodiscard]] int Reconfigurations() const noexcept { return reconfigs_; }

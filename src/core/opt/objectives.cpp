@@ -2,20 +2,6 @@
 
 namespace wsnlink::core::opt {
 
-std::string_view MetricName(Metric metric) noexcept {
-  switch (metric) {
-    case Metric::kEnergy:
-      return "energy[uJ/bit]";
-    case Metric::kGoodput:
-      return "goodput[kbps]";
-    case Metric::kDelay:
-      return "delay[ms]";
-    case Metric::kLoss:
-      return "loss";
-  }
-  return "?";
-}
-
 double MetricValue(const models::MetricPrediction& prediction,
                    Metric metric) noexcept {
   switch (metric) {

@@ -7,8 +7,6 @@
 // epsilon-constraint machinery.
 #pragma once
 
-#include <string_view>
-
 #include "core/models/model_set.h"
 
 namespace wsnlink::core::opt {
@@ -20,9 +18,6 @@ enum class Metric {
   kDelay,     ///< total delay, ms (minimise)
   kLoss,      ///< total packet loss rate (minimise)
 };
-
-/// Human-readable metric name.
-[[nodiscard]] std::string_view MetricName(Metric metric) noexcept;
 
 /// Extracts a metric value from a prediction.
 [[nodiscard]] double MetricValue(const models::MetricPrediction& prediction,

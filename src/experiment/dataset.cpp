@@ -27,45 +27,11 @@ double CellToDouble(const std::string& cell) {
 
 }  // namespace
 
-std::vector<std::string> PacketCsvHeaders() {
-  return {"packet_id",     "payload_bytes",  "arrived_us",
-          "queue_depth",   "dropped_queue",  "service_start_us",
-          "completed_us",  "acked",          "delivered",
-          "tries",         "tx_energy_uj",   "first_delivered_us",
-          "rssi_dbm",      "snr_db",         "lqi"};
-}
-
-void WritePacketLogCsv(const std::string& path, const link::PacketLog& log) {
-  util::CsvWriter writer(path, PacketCsvHeaders());
-  for (const auto& p : log.Packets()) {
-    writer.WriteRow({
-        std::to_string(p.id),
-        std::to_string(p.payload_bytes),
-        std::to_string(p.arrived_at),
-        std::to_string(p.queue_depth_at_arrival),
-        p.dropped_at_queue ? "1" : "0",
-        std::to_string(p.service_start),
-        std::to_string(p.completed_at),
-        p.acked ? "1" : "0",
-        p.delivered ? "1" : "0",
-        std::to_string(p.tries),
-        Fmt(p.tx_energy_uj),
-        std::to_string(p.first_delivered_at),
-        Fmt(p.rssi_dbm),
-        Fmt(p.snr_db),
-        std::to_string(p.lqi),
-    });
-  }
-  writer.Close();
-}
-
-std::vector<std::string> AttemptCsvHeaders() {
-  return {"packet_id", "attempt", "payload_bytes", "at_us",
-          "rssi_dbm",  "snr_db",  "data_received", "acked"};
-}
-
+// wsnstatic:allow(unreached): test-only; writes the log what_if reads back
 void WriteAttemptLogCsv(const std::string& path, const link::PacketLog& log) {
-  util::CsvWriter writer(path, AttemptCsvHeaders());
+  util::CsvWriter writer(path, {"packet_id", "attempt", "payload_bytes",
+                                "at_us", "rssi_dbm", "snr_db",
+                                "data_received", "acked"});
   for (const auto& a : log.Attempts()) {
     writer.WriteRow({
         std::to_string(a.packet_id),
@@ -218,14 +184,6 @@ void WriteSummaryCsvRows(const std::string& path,
   }
   out.flush();
   check("flush");
-}
-
-void WriteSummaryCsv(const std::string& path,
-                     const std::vector<SweepPoint>& points) {
-  std::vector<std::string> rows;
-  rows.reserve(points.size());
-  for (const auto& point : points) rows.push_back(SerializeSummaryRow(point));
-  WriteSummaryCsvRows(path, rows);
 }
 
 std::vector<SweepPoint> ReadSummaryCsv(const std::string& path) {

@@ -15,17 +15,9 @@
 
 namespace wsnlink::experiment {
 
-/// Column headers of the per-packet schema.
-[[nodiscard]] std::vector<std::string> PacketCsvHeaders();
-
-/// Writes one run's packet log (throws std::runtime_error on I/O failure).
-void WritePacketLogCsv(const std::string& path, const link::PacketLog& log);
-
-/// Column headers of the per-attempt schema (the trace the what-if
-/// analysis in metrics/what_if.h consumes offline).
-[[nodiscard]] std::vector<std::string> AttemptCsvHeaders();
-
-/// Writes one run's attempt log.
+/// Writes one run's attempt log, the trace the what-if analysis in
+/// metrics/what_if.h consumes offline (throws std::runtime_error on I/O
+/// failure).
 void WriteAttemptLogCsv(const std::string& path, const link::PacketLog& log);
 
 /// Reads an attempt log back (inverse of WriteAttemptLogCsv).
@@ -35,7 +27,7 @@ void WriteAttemptLogCsv(const std::string& path, const link::PacketLog& log);
 /// Column headers of the per-config summary schema.
 [[nodiscard]] std::vector<std::string> SummaryCsvHeaders();
 
-/// One summary row, serialized exactly as WriteSummaryCsv emits it (escaped
+/// One summary row, serialized exactly as the summary CSV holds it (escaped
 /// cells joined by ',', no trailing newline). The campaign checkpoint
 /// stores these strings verbatim, which is what makes a resumed run's CSV
 /// byte-identical to an uninterrupted one: no parse/re-format round trip.
@@ -46,18 +38,14 @@ void WriteAttemptLogCsv(const std::string& path, const link::PacketLog& log);
 /// std::runtime_error on a malformed row.
 [[nodiscard]] SweepPoint ParseSummaryRow(const std::string& row);
 
-/// Writes a summary CSV from pre-serialized rows (the checkpoint/resume
-/// path). WriteSummaryCsv delegates here, so both paths emit identical
-/// bytes for identical points.
+/// Writes a summary CSV from serialized rows (SerializeSummaryRow), so a
+/// resumed campaign and an uninterrupted one emit identical bytes.
 void WriteSummaryCsvRows(const std::string& path,
                          const std::vector<std::string>& rows);
 
-/// Writes a sweep's summary rows.
-void WriteSummaryCsv(const std::string& path,
-                     const std::vector<SweepPoint>& points);
-
-/// Reads a summary CSV back into sweep points (inverse of WriteSummaryCsv;
-/// only the columns the fitters need are reconstructed).
+/// Reads a summary CSV back into sweep points (inverse of
+/// WriteSummaryCsvRows; only the columns the fitters need are
+/// reconstructed).
 [[nodiscard]] std::vector<SweepPoint> ReadSummaryCsv(const std::string& path);
 
 }  // namespace wsnlink::experiment

@@ -233,6 +233,7 @@ std::vector<SweepPoint> RunSweep(const std::vector<core::StackConfig>& configs,
   return points;
 }
 
+// wsnstatic:allow(unreached): test-only; tests read a parallel sweep's logs
 std::vector<node::SimulationResult> RunSweepRaw(
     const std::vector<core::StackConfig>& configs,
     const SweepOptions& options) {

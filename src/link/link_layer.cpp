@@ -169,8 +169,4 @@ LinkLayer::OpenRecord* LinkLayer::FindOpen(std::uint64_t packet_id) noexcept {
   return nullptr;
 }
 
-bool LinkLayer::Idle() const noexcept {
-  return !queue_.InService() && !queue_.HasWaiting();
-}
-
 }  // namespace wsnlink::link

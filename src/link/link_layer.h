@@ -55,9 +55,7 @@ class LinkLayer {
   /// first Accept(); the context's pointees must outlive the link layer.
   void AttachTrace(const trace::TraceContext& ctx);
 
-  /// True once every accepted packet has completed (queue empty, MAC idle).
-  [[nodiscard]] bool Idle() const noexcept;
-
+  // wsnstatic:allow(unreached): test-only; the link tests read the log
   [[nodiscard]] const PacketLog& Log() const noexcept { return log_; }
   [[nodiscard]] PacketLog& MutableLog() noexcept { return log_; }
   [[nodiscard]] const TransmitQueue& Queue() const noexcept { return queue_; }

@@ -43,6 +43,7 @@ class CsmaMac final : public Mac {
   void Send(std::uint64_t packet_id, int payload_bytes,
             DoneCallback done) override;
 
+  // wsnstatic:allow(unreached): test-only; Mac::Busy is a test observer
   [[nodiscard]] bool Busy() const override { return busy_; }
 
   void SetDeliveryCallback(DeliveryCallback cb) override {
@@ -53,8 +54,6 @@ class CsmaMac final : public Mac {
   }
 
   void AttachTrace(const trace::TraceContext& ctx) override;
-
-  [[nodiscard]] const MacParams& Params() const noexcept { return params_; }
 
   /// Cumulative count of CCA checks that found the channel busy.
   [[nodiscard]] std::uint64_t CcaBusyCount() const noexcept override {

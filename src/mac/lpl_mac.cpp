@@ -62,10 +62,6 @@ double LplMac::ReceiverIdleDutyCycle() const noexcept {
          static_cast<double>(params_.wakeup_interval);
 }
 
-double LplMac::ReceiverIdlePowerMw() const noexcept {
-  return ReceiverIdleDutyCycle() * phy::kSupplyVolts * phy::kRxCurrentMa;
-}
-
 bool LplMac::ReceiverAwake(sim::Time t) const {
   if (receiver_latched_) return true;
   const sim::Duration in_cycle =

@@ -52,6 +52,7 @@ class LplMac final : public Mac {
   void Send(std::uint64_t packet_id, int payload_bytes,
             DoneCallback done) override;
 
+  // wsnstatic:allow(unreached): test-only; Mac::Busy is a test observer
   [[nodiscard]] bool Busy() const override { return busy_; }
 
   void SetDeliveryCallback(DeliveryCallback cb) override {
@@ -63,18 +64,12 @@ class LplMac final : public Mac {
 
   void AttachTrace(const trace::TraceContext& ctx) override;
 
-  [[nodiscard]] const LplParams& Params() const noexcept { return params_; }
-
   /// Receiver radio duty cycle implied by the parameters (fraction of time
   /// awake while idle): probe_duration / wakeup_interval.
   [[nodiscard]] double ReceiverIdleDutyCycle() const noexcept;
 
-  /// Receiver idle-listening power in milliwatts, averaged over time
-  /// (duty cycle * CC2420 RX power). The always-on CSMA receiver burns the
-  /// full RX power instead; this quantifies LPL's receiver saving.
-  [[nodiscard]] double ReceiverIdlePowerMw() const noexcept;
-
   /// Total copies radiated across all packets (diagnostics).
+  // wsnstatic:allow(unreached): test-only; the LplMac tests count copies
   [[nodiscard]] std::uint64_t CopiesSent() const noexcept { return copies_sent_; }
 
   /// Carrier-sense checks that found another node's frame on the air

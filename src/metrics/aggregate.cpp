@@ -38,6 +38,7 @@ std::vector<SnrBucket> PerBySnr(std::span<const link::AttemptRecord> attempts,
   return out;
 }
 
+// wsnstatic:allow(unreached): test-only; only Aggregate.PayloadFilterRestricts
 std::vector<SnrBucket> PerBySnrForPayload(
     std::span<const link::AttemptRecord> attempts, int payload_bytes,
     double bucket_width_db) {

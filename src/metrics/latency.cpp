@@ -1,7 +1,6 @@
 #include "metrics/latency.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 #include "link/packet_log.h"
@@ -33,24 +32,6 @@ int LatencyProfile::MaxQueueDepth() const noexcept {
   int worst = 0;
   for (const int d : queue_depths_at_arrival) worst = std::max(worst, d);
   return worst;
-}
-
-util::Histogram LatencyProfile::ToHistogram(double lo_ms, double hi_ms,
-                                            std::size_t bins) const {
-  util::Histogram h(lo_ms, hi_ms, bins);
-  for (const double d : sorted_delays_ms) h.Add(d);
-  return h;
-}
-
-std::string LatencyProfile::Serialize() const {
-  std::string out;
-  out.reserve(sorted_delays_ms.size() * 12);
-  char buf[32];
-  for (const double d : sorted_delays_ms) {
-    std::snprintf(buf, sizeof(buf), "%.6f\n", d);
-    out += buf;
-  }
-  return out;
 }
 
 LatencyProfile CollectLatencies(const node::SimulationResult& result) {

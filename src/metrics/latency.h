@@ -6,16 +6,13 @@
 // plus the queue depth each accepted packet saw — so it can compare the
 // measured CDF against an analytic bound curve. This module extracts that
 // profile once from the packet log and offers sorted-sample queries
-// (quantiles, CCDF) and a fixed-bin histogram view whose bytes are
-// deterministic for a given seed.
+// (quantiles, CCDF).
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "node/link_simulation.h"
-#include "util/histogram.h"
 
 namespace wsnlink::metrics {
 
@@ -47,14 +44,6 @@ struct LatencyProfile {
 
   /// Largest queue depth any accepted packet saw (0 when none accepted).
   [[nodiscard]] int MaxQueueDepth() const noexcept;
-
-  /// Bins the delays into a fixed-width histogram over [lo_ms, hi_ms).
-  [[nodiscard]] util::Histogram ToHistogram(double lo_ms, double hi_ms,
-                                            std::size_t bins) const;
-
-  /// Canonical text rendering (one "%.6f" delay per line) — byte-compared
-  /// by the determinism suite across thread counts and checkpoint/resume.
-  [[nodiscard]] std::string Serialize() const;
 };
 
 /// Extracts the latency profile from a finished run's packet log.

@@ -71,11 +71,6 @@ class NodeStack {
   [[nodiscard]] SimulationResult Harvest(sim::Time end_time,
                                          std::uint64_t events_executed);
 
-  [[nodiscard]] int NodeId() const noexcept { return node_id_; }
-  [[nodiscard]] const channel::Channel& Link() const noexcept {
-    return *channel_;
-  }
-
  private:
   SimulationOptions options_;
   int node_id_;

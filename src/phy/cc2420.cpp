@@ -50,6 +50,7 @@ double EnergyPerBitMicrojoule(int level) {
   return TxPowerMilliwatts(level) * 1e3 / kDataRateBps;
 }
 
+// wsnstatic:allow(unreached): test-only; only Cc2420.RxEnergyPositiveAndNearTx
 double RxEnergyPerBitMicrojoule() noexcept {
   return kSupplyVolts * kRxCurrentMa * 1e3 / kDataRateBps;
 }

@@ -143,6 +143,7 @@ std::size_t ResultCache::Size() const {
   return entries_.size();
 }
 
+// wsnstatic:allow(unreached): test-only; ServeCache tests count evictions
 std::uint64_t ResultCache::Evictions() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return evictions_;
@@ -353,10 +354,6 @@ CacheLoadReport ResultCache::Load(const std::string& path) {
   }
   report.corrupt_dropped = dropped;
   return install();
-}
-
-std::string ResultCache::KeyHashHex(std::string_view key) {
-  return HashHex(key);
 }
 
 }  // namespace wsnlink::serve

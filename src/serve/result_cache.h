@@ -127,11 +127,6 @@ class ResultCache {
   /// Entries evicted by the cap so far (Store-time and Load-time alike).
   [[nodiscard]] std::uint64_t Evictions() const;
 
-  /// The configured entry cap (0 = unbounded).
-  [[nodiscard]] std::size_t MaxEntries() const noexcept {
-    return max_entries_;
-  }
-
   /// Compacts: serializes every entry (ordered by key: deterministic
   /// bytes) as one commit and atomically publishes it to `path` via the
   /// checkpoint writer. Throws experiment::CheckpointError on failure
@@ -153,9 +148,6 @@ class ResultCache {
   /// recomputing. Save, Persist and Load must not overlap one another;
   /// Lookup and Store may run concurrently with any of them.
   CacheLoadReport Load(const std::string& path);
-
-  /// FNV-1a hex address of a canonical key (exposed for tests/tools).
-  [[nodiscard]] static std::string KeyHashHex(std::string_view key);
 
  private:
   /// Writes the journal at `path`: appends the unsynced entries as one

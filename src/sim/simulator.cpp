@@ -5,10 +5,12 @@
 
 namespace wsnlink::sim {
 
+// wsnstatic:allow(unreached): test-only; no binary cancels, Simulator tests do
 void EventHandle::Cancel() noexcept {
   if (sim_ != nullptr) sim_->CancelSlot(slot_, ticket_);
 }
 
+// wsnstatic:allow(unreached): test-only; no binary cancels, Simulator tests do
 bool EventHandle::Pending() const noexcept {
   return sim_ != nullptr && sim_->SlotPending(slot_, ticket_);
 }
@@ -112,6 +114,7 @@ void Simulator::HeapRemove(std::uint32_t pos) noexcept {
   }
 }
 
+// wsnstatic:allow(unreached): test-only; EventHandle::Cancel lands here
 void Simulator::CancelSlot(std::uint32_t slot, std::uint64_t ticket) noexcept {
   if (!SlotPending(slot, ticket)) return;
   HeapRemove(slots_[slot].heap_pos);
@@ -119,6 +122,7 @@ void Simulator::CancelSlot(std::uint32_t slot, std::uint64_t ticket) noexcept {
   if (counters_ != nullptr) counters_->Add(id_cancelled_);
 }
 
+// wsnstatic:allow(unreached): test-only; EventHandle::Pending lands here
 bool Simulator::SlotPending(std::uint32_t slot,
                             std::uint64_t ticket) const noexcept {
   return slot < slots_.size() && slots_[slot].generation == ticket;
@@ -161,15 +165,6 @@ bool Simulator::Step() {
   if (counters_ != nullptr) counters_->Add(id_executed_);
   fn();
   return true;
-}
-
-std::size_t Simulator::RunUntil(Time until) {
-  std::size_t count = 0;
-  while (!heap_.empty() && heap_[0].at <= until) {
-    if (Step()) ++count;
-  }
-  if (now_ < until) now_ = until;
-  return count;
 }
 
 std::size_t Simulator::Run() {

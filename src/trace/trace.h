@@ -143,19 +143,18 @@ class Tracer {
   /// equal timestamps keep their emission order. Emitters may run ahead of
   /// the simulator clock (the CSMA MAC computes an uncontended attempt
   /// ladder inline), so emission order alone is not chronological. When the
-  /// ring has wrapped, the retained events are the last Capacity() emitted.
+  /// ring has wrapped, the retained events are the last `capacity` emitted.
   /// Copies out of the ring; call once after the run.
   [[nodiscard]] std::vector<TraceEvent> Events() const;
 
   /// Total events emitted, including overwritten ones.
+  // wsnstatic:allow(unreached): test-only; the Trace tests count emissions
   [[nodiscard]] std::uint64_t EmittedCount() const noexcept { return emitted_; }
 
   /// Events lost to ring overwrite (EmittedCount() - retained).
   [[nodiscard]] std::uint64_t DroppedCount() const noexcept {
     return emitted_ > ring_.size() ? emitted_ - ring_.size() : 0;
   }
-
-  [[nodiscard]] std::size_t Capacity() const noexcept { return ring_.size(); }
 
   /// Forgets all recorded events (capacity unchanged).
   void Clear() noexcept { emitted_ = 0; }

@@ -60,18 +60,6 @@ class MonotonicArena {
     active_ = 0;
   }
 
-  /// Number of chunks currently retained (steady state: constant).
-  [[nodiscard]] std::size_t ChunkCount() const noexcept {
-    return chunks_.size();
-  }
-
-  /// Bytes currently bumped across all chunks.
-  [[nodiscard]] std::size_t BytesUsed() const noexcept {
-    std::size_t used = 0;
-    for (const Chunk& chunk : chunks_) used += chunk.used;
-    return used;
-  }
-
  private:
   struct Chunk {
     std::unique_ptr<std::byte[]> data;

@@ -36,8 +36,8 @@ class CsvWriter {
   /// Idempotent; after Close() the writer accepts no more rows.
   void Close();
 
+  // wsnstatic:allow(unreached): test-only; Csv.WriteReadRoundTrip reads it
   [[nodiscard]] std::size_t RowsWritten() const noexcept { return rows_; }
-  [[nodiscard]] const std::string& Path() const noexcept { return path_; }
 
  private:
   void WriteCells(const std::vector<std::string>& cells);

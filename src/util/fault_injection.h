@@ -103,15 +103,15 @@ class FaultInjector {
 /// failing test can never leak an armed schedule into the next one.
 class ScopedFaultInjection {
  public:
+  // wsnstatic:allow(unreached): test-only; the tests' injector guard
   ScopedFaultInjection() { FaultInjector::Global().Clear(); }
+  // wsnstatic:allow(unreached): test-only; the tests' injector guard
   ~ScopedFaultInjection() { FaultInjector::Global().Clear(); }
 
   ScopedFaultInjection(const ScopedFaultInjection&) = delete;
   ScopedFaultInjection& operator=(const ScopedFaultInjection&) = delete;
 
-  [[nodiscard]] FaultInjector& operator*() const noexcept {
-    return FaultInjector::Global();
-  }
+  // wsnstatic:allow(unreached): test-only; tests arm schedules through it
   [[nodiscard]] FaultInjector* operator->() const noexcept {
     return &FaultInjector::Global();
   }

@@ -21,11 +21,6 @@ class Histogram {
   /// Adds `weight` occurrences of x (weight >= 0).
   void Add(double x, std::size_t weight) noexcept;
 
-  [[nodiscard]] std::size_t BinCount() const noexcept { return counts_.size(); }
-  [[nodiscard]] double Lo() const noexcept { return lo_; }
-  [[nodiscard]] double Hi() const noexcept { return hi_; }
-  [[nodiscard]] double BinWidth() const noexcept { return width_; }
-
   /// Count in bin i (0-based). Requires i < BinCount().
   [[nodiscard]] std::size_t Count(std::size_t i) const;
 
@@ -33,10 +28,13 @@ class Histogram {
   [[nodiscard]] double BinLow(std::size_t i) const;
   [[nodiscard]] double BinCenter(std::size_t i) const;
 
+  // wsnstatic:allow(unreached): test-only; Histogram.CountsAndEdges reads it
   [[nodiscard]] std::size_t Underflow() const noexcept { return underflow_; }
+  // wsnstatic:allow(unreached): test-only; Histogram.CountsAndEdges reads it
   [[nodiscard]] std::size_t Overflow() const noexcept { return overflow_; }
 
   /// Total samples, including under/overflow.
+  // wsnstatic:allow(unreached): test-only; Histogram.CountsAndEdges reads it
   [[nodiscard]] std::size_t Total() const noexcept { return total_; }
 
   /// Fraction of all samples falling in bin i (0 if Total() == 0).

@@ -95,6 +95,7 @@ double Rng::Gaussian(double mean, double sigma) noexcept {
   return mean + sigma * Gaussian();
 }
 
+// wsnstatic:allow(unreached): test-only; only the Rng.Bernoulli* tests
 bool Rng::Bernoulli(double p) noexcept {
   if (p <= 0.0) {
     (*this)();  // keep draw count constant regardless of p

@@ -20,6 +20,7 @@ void RunningStats::Add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
+// wsnstatic:allow(unreached): test-only; only RunningStats.Merge* tests
 void RunningStats::Merge(const RunningStats& other) noexcept {
   if (other.n_ == 0) return;
   if (n_ == 0) {
@@ -124,6 +125,7 @@ double DkwEpsilon(std::size_t n, double confidence) {
   return std::sqrt(std::log(2.0 / alpha) / (2.0 * static_cast<double>(n)));
 }
 
+// wsnstatic:allow(unreached): test-only; only the Stats.DkwQuantileBand* tests
 ConfidenceInterval DkwQuantileBand(std::span<const double> sorted_xs, double p,
                                    double confidence) {
   if (sorted_xs.empty()) {
@@ -203,50 +205,6 @@ std::optional<LinearFit> FitLine(std::span<const double> xs,
   fit.r_squared = (syy > 0.0) ? std::max(0.0, 1.0 - ss_res / syy) : 1.0;
   fit.rmse = std::sqrt(ss_res / static_cast<double>(n));
   return fit;
-}
-
-std::optional<double> Correlation(std::span<const double> xs,
-                                  std::span<const double> ys) {
-  if (xs.size() != ys.size()) throw std::invalid_argument("Correlation: size mismatch");
-  if (xs.size() < 2) return std::nullopt;
-  const double mx = Mean(xs);
-  const double my = Mean(ys);
-  double sxx = 0.0;
-  double sxy = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxx += dx * dx;
-    sxy += dx * dy;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return std::nullopt;
-  return sxy / std::sqrt(sxx * syy);
-}
-
-double Rmse(std::span<const double> predicted, std::span<const double> observed) {
-  if (predicted.size() != observed.size() || predicted.empty()) {
-    throw std::invalid_argument("Rmse: mismatched or empty spans");
-  }
-  double ss = 0.0;
-  for (std::size_t i = 0; i < predicted.size(); ++i) {
-    const double d = predicted[i] - observed[i];
-    ss += d * d;
-  }
-  return std::sqrt(ss / static_cast<double>(predicted.size()));
-}
-
-double MaxAbsError(std::span<const double> predicted,
-                   std::span<const double> observed) {
-  if (predicted.size() != observed.size() || predicted.empty()) {
-    throw std::invalid_argument("MaxAbsError: mismatched or empty spans");
-  }
-  double worst = 0.0;
-  for (std::size_t i = 0; i < predicted.size(); ++i) {
-    worst = std::max(worst, std::abs(predicted[i] - observed[i]));
-  }
-  return worst;
 }
 
 }  // namespace wsnlink::util

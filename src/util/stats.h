@@ -43,8 +43,6 @@ class RunningStats {
   [[nodiscard]] double Min() const;
   [[nodiscard]] double Max() const;
 
-  [[nodiscard]] double Sum() const noexcept { return mean_ * static_cast<double>(n_); }
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -123,18 +121,5 @@ struct LinearFit {
 /// variance), in which case no line is identifiable.
 [[nodiscard]] std::optional<LinearFit> FitLine(std::span<const double> xs,
                                                std::span<const double> ys);
-
-/// Pearson correlation coefficient. Returns nullopt on degenerate input.
-[[nodiscard]] std::optional<double> Correlation(std::span<const double> xs,
-                                                std::span<const double> ys);
-
-/// Root-mean-square error between paired predictions and observations.
-/// Requires equal, non-zero lengths.
-[[nodiscard]] double Rmse(std::span<const double> predicted,
-                          std::span<const double> observed);
-
-/// Maximum absolute difference between paired values.
-[[nodiscard]] double MaxAbsError(std::span<const double> predicted,
-                                 std::span<const double> observed);
 
 }  // namespace wsnlink::util

@@ -4,7 +4,6 @@
 // this helper keeps them uniformly formatted and diff-friendly.
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -28,13 +27,8 @@ class TextTable {
   TextTable& Add(long value);
   TextTable& Add(unsigned long value);
 
-  [[nodiscard]] std::size_t RowCount() const noexcept { return rows_.size(); }
-
   /// Renders with a header underline and two-space column gaps.
   [[nodiscard]] std::string ToString() const;
-
-  /// Renders as CSV (comma-separated; cells containing commas are quoted).
-  [[nodiscard]] std::string ToCsv() const;
 
   friend std::ostream& operator<<(std::ostream& os, const TextTable& t);
 
@@ -45,8 +39,5 @@ class TextTable {
 
 /// Formats a double with fixed precision (helper shared with TextTable).
 [[nodiscard]] std::string FormatDouble(double value, int precision);
-
-/// Prints a section banner ("== title ==") used by bench binaries.
-void PrintBanner(std::ostream& os, const std::string& title);
 
 }  // namespace wsnlink::util

@@ -18,9 +18,4 @@ double AddPowersDbm(double a_dbm, double b_dbm) {
 
 double DbToLinear(double db) noexcept { return std::pow(10.0, db / 10.0); }
 
-double LinearToDb(double ratio) {
-  if (ratio <= 0.0) throw std::invalid_argument("LinearToDb: ratio must be > 0");
-  return 10.0 * std::log10(ratio);
-}
-
 }  // namespace wsnlink::util

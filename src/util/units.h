@@ -25,9 +25,6 @@ namespace wsnlink::util {
 /// Converts a dB value to a linear ratio.
 [[nodiscard]] double DbToLinear(double db) noexcept;
 
-/// Converts a linear ratio to dB. Requires ratio > 0.
-[[nodiscard]] double LinearToDb(double ratio);
-
 constexpr double kMicrosecondsPerSecond = 1e6;
 constexpr double kBitsPerByte = 8.0;
 

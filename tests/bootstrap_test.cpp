@@ -46,8 +46,8 @@ TEST(Bootstrap, NoiselessDataGivesTightIntervals) {
   const auto result =
       BootstrapScaledExponential(samples, util::Rng(4), {100, 0.95});
   ASSERT_TRUE(result.has_value());
-  EXPECT_LT(result->a.Width(), 1e-6);
-  EXPECT_LT(result->b.Width(), 1e-5);
+  EXPECT_LT(result->a.hi - result->a.lo, 1e-6);
+  EXPECT_LT(result->b.hi - result->b.lo, 1e-5);
 }
 
 TEST(Bootstrap, MoreNoiseWidensIntervals) {
@@ -57,7 +57,7 @@ TEST(Bootstrap, MoreNoiseWidensIntervals) {
       NoisySamples(0.011, -0.145, 0.30, 5), util::Rng(6), {150, 0.95});
   ASSERT_TRUE(quiet.has_value());
   ASSERT_TRUE(loud.has_value());
-  EXPECT_GT(loud->b.Width(), quiet->b.Width());
+  EXPECT_GT(loud->b.hi - loud->b.lo, quiet->b.hi - quiet->b.lo);
 }
 
 TEST(Bootstrap, DeterministicForSameSeed) {

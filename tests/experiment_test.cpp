@@ -95,6 +95,12 @@ TEST(Sweep, SeedsDifferPerIndex) {
   EXPECT_EQ(SweepSeed(5, 3), SweepSeed(5, 3));
 }
 
+std::vector<std::string> SerializedRows(const std::vector<SweepPoint>& points) {
+  std::vector<std::string> rows;
+  for (const auto& point : points) rows.push_back(SerializeSummaryRow(point));
+  return rows;
+}
+
 TEST(Dataset, SummaryRoundTrip) {
   SweepOptions options;
   options.packet_count = 80;
@@ -102,7 +108,7 @@ TEST(Dataset, SummaryRoundTrip) {
 
   const auto path =
       (std::filesystem::temp_directory_path() / "wsn_summary.csv").string();
-  WriteSummaryCsv(path, points);
+  WriteSummaryCsvRows(path, SerializedRows(points));
   const auto loaded = ReadSummaryCsv(path);
   ASSERT_EQ(loaded.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -112,28 +118,6 @@ TEST(Dataset, SummaryRoundTrip) {
     EXPECT_NEAR(loaded[i].measured.per, points[i].measured.per, 1e-5);
     EXPECT_EQ(loaded[i].measured.delivered_unique,
               points[i].measured.delivered_unique);
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(Dataset, PacketLogCsvHasRowPerPacket) {
-  node::SimulationOptions options;
-  options.config = SmallConfigSet()[0];
-  options.packet_count = 60;
-  options.seed = 4;
-  const auto result = node::RunLinkSimulation(options);
-
-  const auto path =
-      (std::filesystem::temp_directory_path() / "wsn_packets.csv").string();
-  WritePacketLogCsv(path, result.log);
-  const auto data = util::ReadCsv(path);
-  EXPECT_EQ(data.rows.size(), 60u);
-  EXPECT_EQ(data.headers, PacketCsvHeaders());
-  // Tries column sane.
-  const auto tries = data.NumericColumn("tries");
-  for (const double t : tries) {
-    EXPECT_GE(t, 0.0);
-    EXPECT_LE(t, 3.0);
   }
   std::filesystem::remove(path);
 }
@@ -231,7 +215,7 @@ TEST(FaultInjection, SummaryCsvWriteFailureThrowsWithPath) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "wsn_enospc.csv").string();
   try {
-    WriteSummaryCsv(path, points);
+    WriteSummaryCsvRows(path, SerializedRows(points));
     FAIL() << "silently truncated summary CSV";
   } catch (const std::runtime_error& e) {
     // The error must name the file so a campaign log points at the bad

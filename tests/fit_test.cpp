@@ -154,26 +154,5 @@ TEST(FitScaledExponential, DegenerateInputsReturnNullopt) {
   EXPECT_FALSE(FitScaledExponential(flat).has_value());
 }
 
-// ------------------------------------------------- plain exponential ----
-
-TEST(FitExponential, RecoversKnownCurve) {
-  std::vector<double> xs;
-  std::vector<double> ys;
-  for (double x = 0.0; x <= 20.0; x += 1.0) {
-    xs.push_back(x);
-    ys.push_back(0.7 * std::exp(-0.2 * x));
-  }
-  const auto fit = FitExponential(xs, ys);
-  ASSERT_TRUE(fit.has_value());
-  EXPECT_NEAR(fit->a, 0.7, 1e-6);
-  EXPECT_NEAR(fit->b, -0.2, 1e-6);
-}
-
-TEST(FitExponential, SizeMismatchThrows) {
-  const std::vector<double> xs{1.0, 2.0};
-  const std::vector<double> ys{1.0};
-  EXPECT_THROW((void)FitExponential(xs, ys), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace wsnlink::core::fit

@@ -105,7 +105,8 @@ TEST(LinkLayer, SinglePacketLifecycleLogged) {
   EXPECT_GT(p.first_delivered_at, p.service_start);
   EXPECT_LT(p.first_delivered_at, p.completed_at);
   EXPECT_GT(p.tx_energy_uj, 0.0);
-  EXPECT_TRUE(h.link.Idle());
+  EXPECT_FALSE(h.link.Queue().InService());
+  EXPECT_FALSE(h.link.Queue().HasWaiting());
 }
 
 TEST(LinkLayer, BurstArrivalsQueueAndServeInOrder) {

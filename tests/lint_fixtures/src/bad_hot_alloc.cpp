@@ -1,5 +1,5 @@
-// Fixture: a marked hot-path file that allocates — every heap token is a
-// finding. wsnlint:hot-path
+// Fixture: a hot-path file that allocates — every heap token is a finding.
+// wsnlint:hot-path
 #include <memory>
 
 void Step(double* out) {

@@ -13,8 +13,9 @@
 //     staleness.
 //  4. Mutation: the seeded mutations (std::rand() in src/sim/, an
 //     unordered_map loop in a CSV writer, an upward include, a banned API
-//     two levels below a hot root, a mutable static below a pool root) must
-//     each be detected — so CI goes red if one lands in the tree.
+//     two levels below a hot root, a mutable static below a pool root, a
+//     function no binary calls) must each be detected — so CI goes red if
+//     one lands in the tree.
 #include "rules.h"
 #include "runner.h"
 
@@ -186,6 +187,20 @@ TEST(Lint, AllowDirectiveSuppressesAndIsChecked) {
                       "allow-directive"));
 }
 
+TEST(Lint, HotPathMarkerMustOpenItsComment) {
+  // Prose that mentions the marker does not make a file hot.
+  const std::string prose =
+      "// Files tagged wsnlint:hot-path stay allocation-free.\n"
+      "#include <cstdlib>\n"
+      "void* Grab() { return malloc(8); }\n";
+  EXPECT_FALSE(HasRule(CheckSource("bench/prose.cpp", prose), "no-hot-alloc"));
+  const std::string marked =
+      "// wsnlint:hot-path\n"
+      "#include <cstdlib>\n"
+      "void* Grab() { return malloc(8); }\n";
+  EXPECT_TRUE(HasRule(CheckSource("bench/marked.cpp", marked), "no-hot-alloc"));
+}
+
 TEST(Lint, FixtureDirsAreExcludedFromTreeScans) {
   EXPECT_TRUE(wsnlint::IsExcluded("tests/lint_fixtures/src/bad_header.h"));
   EXPECT_TRUE(wsnlint::IsExcluded("tests/golden/contention_n1.csv"));
@@ -201,7 +216,7 @@ TEST(Lint, FixtureDirsAreExcludedFromTreeScans) {
 
 // --- Cross-TU rules ------------------------------------------------------
 
-// The cross-TU family's share of a findings listing: its four rules, marker
+// The cross-TU family's share of a findings listing: its rules, marker
 // problems, and allow problems spelled `wsnstatic:allow`.
 std::string CrossTuLines(const std::string& listing) {
   std::istringstream in(listing);
@@ -330,6 +345,71 @@ int Bump() {
               "lp-isolation"));
 }
 
+TEST(Static, IndexKeepsDefinitionsAfterDestructorsOperatorsAndIncludes) {
+  // A destructor's or operator's body once swallowed every out-of-line
+  // definition after it in the file, and an #include line glued itself to
+  // the head of the first definition after a namespace block.
+  const std::string service = R"(#include "serve/service.h"
+namespace wsn {
+Service::~Service() { Stop(); }
+void Service::Stop() {}
+std::uint64_t Rng::operator()() { return Next(); }
+int Rng::Next() { return 4; }
+}  // namespace wsn
+)";
+  const std::string tool = R"(namespace {
+int Helper() { return 1; }
+}  // namespace
+#include <cstdio>
+int main() { return Helper(); }
+)";
+  std::vector<wsnlint::SourceFile> files;
+  files.push_back(wsnlint::ScanFile("src/serve/service.cpp", service));
+  files.push_back(wsnlint::ScanFile("tools/demo/main.cpp", tool));
+  const wsnlint::Index index = wsnlint::BuildIndex(std::move(files));
+  std::vector<std::string> names;
+  for (const wsnlint::FunctionInfo& fn : index.functions) {
+    names.push_back(fn.class_name + "::" + fn.name);
+  }
+  const std::vector<std::string> expected = {
+      "::Helper",        "::main",       "Rng::Next",
+      "Rng::operator()", "Service::Stop", "Service::~Service"};
+  EXPECT_EQ(names, expected);
+}
+
+TEST(Static, MutationUncalledFunctionIsUnreached) {
+  // In-process twin of the CI drill. A binary's main is the root; a
+  // function passed as a value, a constructor called only from an
+  // initializer list and a justified test-only API are not findings; a
+  // function nothing calls is, and the allow above its neighbour does not
+  // cover it.
+  const std::string main_file = R"(#include "util/units.h"
+int main() { return Run(&Scale); }
+)";
+  const std::string units = R"(namespace util {
+int Scale(int x) { return 2 * x; }
+Meter::Meter(int v) : v_(v) {}
+Gauge::Gauge() : meter_(Meter(3)) {}
+int Run(int (*fn)(int)) { Gauge gauge; return fn(1); }
+// wsnstatic:allow(unreached): test-only; a unit test probes it
+int Probe() { return 7; }
+int Uncalled() { return 0; }
+}  // namespace util
+)";
+  const wsnlint::RunResult result = wsnlint::Check(
+      {{"examples/demo.cpp", main_file}, {"src/util/units.cpp", units}});
+  EXPECT_EQ(FormatFindings(result.findings),
+            "src/util/units.cpp:8:unreached: 'Uncalled' is defined in src/ "
+            "but no main under examples/, bench/, perfbench/ or tools/ "
+            "reaches it; delete it, or justify a test-only API with "
+            "wsnstatic:allow(unreached)\n");
+  // A scan without a binary makes no reachability claim, and the allow is
+  // not stale there.
+  EXPECT_EQ(
+      FormatFindings(wsnlint::Check({{"src/util/units.cpp", units}}).findings),
+      "");
+}
+
 TEST(Static, PrefixedRawStringsAreNotCode) {
   // u8R/uR/UR/LR prefixed raw strings hid banned tokens from earlier
   // scanners that only recognised the bare R prefix. serve/ files are LP
@@ -405,10 +485,11 @@ TEST(Static, ListRulesCoversEveryFamily) {
       "no-wallclock", "no-unordered-output", "no-raw-parse",
       "header-hygiene", "no-float-eq", "no-naked-new", "no-hot-alloc"};
   const std::vector<std::string> expected_cross_tu = {
-      "serdes-complete", "hot-path-transitive", "lp-isolation", "layer-dag"};
+      "serdes-complete", "hot-path-transitive", "lp-isolation", "layer-dag",
+      "unreached"};
   EXPECT_EQ(per_file, expected_per_file);
   EXPECT_EQ(cross_tu, expected_cross_tu);
-  EXPECT_EQ(wsnlint::Rules().size(), 11u);
+  EXPECT_EQ(wsnlint::Rules().size(), 12u);
 }
 
 }  // namespace

@@ -138,8 +138,6 @@ TEST(LplMac, DutyCycleArithmetic) {
   params.probe_duration = 11 * sim::kMillisecond;
   LplHarness h(params, 540);
   EXPECT_NEAR(h.mac.ReceiverIdleDutyCycle(), 0.1, 1e-12);
-  // 10% of the 56.4 mW RX power.
-  EXPECT_NEAR(h.mac.ReceiverIdlePowerMw(), 5.64, 1e-9);
 }
 
 TEST(LplMac, InvalidParamsRejected) {

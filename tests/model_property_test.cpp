@@ -240,10 +240,10 @@ TEST(ServiceCurveProperty, BoundsMonotoneInPayloadSize) {
         EXPECT_GE(b.max_delay_ms, prev_max);
         // A longer frame can only be easier to lose (Eq. 3 is linear in
         // the radiated bytes).
-        EXPECT_GE(model.EffectiveAttemptLoss(), prev_loss - 1e-12);
+        EXPECT_GE(model.AttemptTailProbability(1, 1.0), prev_loss - 1e-12);
         prev_min = b.min_delay_ms;
         prev_max = b.max_delay_ms;
-        prev_loss = model.EffectiveAttemptLoss();
+        prev_loss = model.AttemptTailProbability(1, 1.0);
       }
     }
   }

@@ -92,7 +92,6 @@ TEST(Objectives, CostOrientation) {
   EXPECT_DOUBLE_EQ(MetricCost(p, Metric::kEnergy), 2.0);
   EXPECT_DOUBLE_EQ(MetricCost(p, Metric::kDelay), 30.0);
   EXPECT_DOUBLE_EQ(MetricCost(p, Metric::kLoss), 0.25);
-  EXPECT_EQ(MetricName(Metric::kEnergy), "energy[uJ/bit]");
 }
 
 // -------------------------------------------------------------- Pareto ----

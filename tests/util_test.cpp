@@ -188,20 +188,6 @@ TEST(FitLine, DegenerateInputsRejected) {
   EXPECT_FALSE(FitLine(same_x, ys).has_value());
 }
 
-TEST(Correlation, PerfectAndAnti) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  const std::vector<double> up{2, 4, 6, 8};
-  const std::vector<double> down{8, 6, 4, 2};
-  EXPECT_NEAR(*Correlation(xs, up), 1.0, 1e-12);
-  EXPECT_NEAR(*Correlation(xs, down), -1.0, 1e-12);
-}
-
-TEST(Rmse, ZeroForIdenticalVectors) {
-  const std::vector<double> a{1, 2, 3};
-  EXPECT_DOUBLE_EQ(Rmse(a, a), 0.0);
-  EXPECT_DOUBLE_EQ(MaxAbsError(a, a), 0.0);
-}
-
 // ---------------------------------------------------------- histogram ----
 
 TEST(Histogram, CountsAndEdges) {
@@ -258,7 +244,6 @@ TEST(Units, AddPowersDominatedByLarger) {
 
 TEST(Units, InvalidArguments) {
   EXPECT_THROW((void)MilliwattToDbm(0.0), std::invalid_argument);
-  EXPECT_THROW((void)LinearToDb(-1.0), std::invalid_argument);
 }
 
 // -------------------------------------------------------------- table ----
@@ -271,19 +256,14 @@ TEST(TextTable, AlignsAndRendersAllRows) {
   EXPECT_NE(s.find("long_header"), std::string::npos);
   EXPECT_NE(s.find("1.5"), std::string::npos);
   EXPECT_NE(s.find("22"), std::string::npos);
-  EXPECT_EQ(t.RowCount(), 2u);
+  // Header, rule and both rows.
+  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 4);
 }
 
 TEST(TextTable, RejectsTooManyCells) {
   TextTable t({"only"});
   t.NewRow().Add("1");
   EXPECT_THROW(t.Add("2"), std::logic_error);
-}
-
-TEST(TextTable, CsvEscapesCommas) {
-  TextTable t({"h"});
-  t.NewRow().Add("a,b");
-  EXPECT_NE(t.ToCsv().find("\"a,b\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------- csv ----

@@ -11,7 +11,12 @@
 //   layer-dag           quoted includes respect the directory layering
 //                       util < sim/trace < phy/channel < mac/core < link <
 //                       app < node < metrics < experiment/validate < serve
+//   unreached           every function defined in src/ is reachable from
+//                       the main of some binary under examples/, bench/,
+//                       perfbench/ or tools/
+#include <algorithm>
 #include <cctype>
+#include <cstddef>
 #include <map>
 #include <regex>
 #include <set>
@@ -175,46 +180,68 @@ void CheckSerdes(const Index& index, TransientMap& transients,
   }
 }
 
+// --- reachability over the name-matched function graph ---------------------
+
+using NameTargets = std::map<std::string, std::vector<std::size_t>>;
+
+/// Breadth-first walk from `roots` (indices into `nodes`): a reached node
+/// reaches every node that `targets` maps one of its `edges` names to.
+/// Returns, per node, the qualified name of the root it was first reached
+/// from; "" means unreached.
+std::vector<std::string> Reach(const std::vector<FunctionInfo>& nodes,
+                               const std::vector<std::size_t>& roots,
+                               std::vector<std::string> FunctionInfo::*edges,
+                               const NameTargets& targets) {
+  std::vector<std::string> origin(nodes.size());
+  std::vector<std::size_t> worklist;
+  for (const std::size_t root : roots) {
+    origin[root] = Qualified(nodes[root]);
+    worklist.push_back(root);
+  }
+  for (std::size_t head = 0; head < worklist.size(); ++head) {
+    const std::size_t fn_index = worklist[head];
+    for (const std::string& name : nodes[fn_index].*edges) {
+      const auto it = targets.find(name);
+      if (it == targets.end()) continue;
+      for (const std::size_t next : it->second) {
+        if (!origin[next].empty()) continue;
+        origin[next] = origin[fn_index];
+        worklist.push_back(next);
+      }
+    }
+  }
+  return origin;
+}
+
+bool InSrc(const Index& index, const FunctionInfo& fn) {
+  const SourceFile* file = index.FileByPath(fn.file);
+  return file != nullptr && file->UnderSrc();
+}
+
 // --- family 2: transitive hot-path purity -----------------------------------
 
 void CheckHotPaths(const Index& index, std::vector<Finding>* out) {
   // Roots: every function defined in a wsnlint:hot-path file. no-hot-alloc
   // already polices those files token-by-token; this rule follows calls
   // out of them, matching callees by unqualified name (a deliberate
-  // over-approximation: a shared name means the body may run hot).
-  std::vector<std::size_t> worklist;
-  std::vector<std::string> origin(index.functions.size());
-  std::vector<bool> visited(index.functions.size(), false);
+  // over-approximation: a shared name means the body may run hot). The
+  // walk stays inside src/.
+  std::vector<std::size_t> roots;
+  NameTargets by_name;
   for (std::size_t i = 0; i < index.functions.size(); ++i) {
-    const SourceFile* file = index.FileByPath(index.functions[i].file);
-    if (file && file->hot_path) {
-      visited[i] = true;
-      origin[i] = Qualified(index.functions[i]);
-      worklist.push_back(i);
-    }
-  }
-  std::map<std::string, std::vector<std::size_t>> by_name;
-  for (std::size_t i = 0; i < index.functions.size(); ++i) {
+    if (!InSrc(index, index.functions[i])) continue;
     by_name[index.functions[i].name].push_back(i);
-  }
-  for (std::size_t head = 0; head < worklist.size(); ++head) {
-    const std::size_t fn_index = worklist[head];
-    for (const std::string& callee : index.functions[fn_index].calls) {
-      const auto it = by_name.find(callee);
-      if (it == by_name.end()) continue;
-      for (const std::size_t next : it->second) {
-        if (visited[next]) continue;
-        visited[next] = true;
-        origin[next] = origin[fn_index];
-        worklist.push_back(next);
-      }
+    if (index.FileByPath(index.functions[i].file)->hot_path) {
+      roots.push_back(i);
     }
   }
+  const std::vector<std::string> origin =
+      Reach(index.functions, roots, &FunctionInfo::calls, by_name);
 
   static const std::regex kWallclock(kWallclockTokens);
 
   for (std::size_t i = 0; i < index.functions.size(); ++i) {
-    if (!visited[i]) continue;
+    if (origin[i].empty()) continue;
     const FunctionInfo& fn = index.functions[i];
     const SourceFile* file = index.FileByPath(fn.file);
     if (!file || file->hot_path) continue;  // roots are no-hot-alloc's job
@@ -411,6 +438,88 @@ void CheckLayerDag(const Index& index, std::vector<Finding>* out) {
   }
 }
 
+// --- family 5: reachability from the binaries -------------------------------
+
+bool InBinaryDir(const std::string& path) {
+  for (const char* dir : {"examples/", "bench/", "perfbench/", "tools/"}) {
+    if (path.rfind(dir, 0) == 0) return true;
+  }
+  return false;
+}
+
+/// A binary source file's code outside every function definition: global
+/// initializers and registrations, such as a benchmark library's
+/// BENCHMARK(fn) under a library-supplied main, run as the binary starts.
+FunctionInfo StaticInitNode(const Index& index, const SourceFile& file) {
+  std::string code = file.scan.code;
+  for (const FunctionInfo& fn : index.functions) {
+    if (fn.file != file.path) continue;
+    std::fill(code.begin() + static_cast<std::ptrdiff_t>(fn.head_begin),
+              code.begin() + static_cast<std::ptrdiff_t>(fn.body_end), ' ');
+  }
+  return {"(static initialization)", "", file.path, 1, 0, 0, 0, {},
+          ExtractRefs(code)};
+}
+
+bool IsOperator(const FunctionInfo& fn) {
+  return fn.name.rfind("operator", 0) == 0;
+}
+
+/// Returns false, claiming nothing, when the scan holds no binary.
+bool CheckUnreached(const Index& index, std::vector<Finding>* out) {
+  // Roots: the main and the static initializers of every binary in the
+  // scan. An edge is any identifier in a reached function's head or body (a
+  // function passed as a value is not a call; an initializer list is not
+  // the body), matched by unqualified name. A name that denotes a class
+  // also reaches its constructors (same name), destructor, operators and
+  // the types and initializers of its data members; a free operator is
+  // reached by any name it uses. Every approximation errs toward reaching
+  // more, so a finding is a definition no binary can run.
+  std::vector<FunctionInfo> nodes = index.functions;
+  for (const ClassInfo& cls : index.classes) {
+    nodes.push_back(
+        {cls.name, cls.name, cls.file, cls.line, 0, 0, 0, {}, cls.refs});
+  }
+  std::vector<std::size_t> roots;
+  bool has_main = false;
+  for (const SourceFile& file : index.files) {
+    if (!InBinaryDir(file.path)) continue;
+    roots.push_back(nodes.size());
+    nodes.push_back(StaticInitNode(index, file));
+  }
+  NameTargets targets;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const FunctionInfo& fn = nodes[i];
+    if (fn.name == "main" && fn.class_name.empty() && InBinaryDir(fn.file)) {
+      has_main = true;
+      roots.push_back(i);
+    }
+    targets[fn.name].push_back(i);
+    const bool special = fn.name[0] == '~' || IsOperator(fn);
+    if (special && !fn.class_name.empty()) {
+      targets[fn.class_name].push_back(i);
+    } else if (IsOperator(fn)) {
+      for (const std::string& name : fn.refs) targets[name].push_back(i);
+    }
+  }
+  if (!has_main) return false;
+  const std::vector<std::string> origin =
+      Reach(nodes, roots, &FunctionInfo::refs, targets);
+  for (std::size_t i = 0; i < index.functions.size(); ++i) {
+    const FunctionInfo& fn = index.functions[i];
+    if (!origin[i].empty() || !InSrc(index, fn)) continue;
+    // Appended piecewise: GCC 12 reports a false -Wrestrict overlap on
+    // `"literal" + std::string&&`.
+    std::string message = "'";
+    message.append(Qualified(fn))
+        .append("' is defined in src/ but no main under examples/, bench/, "
+                "perfbench/ or tools/ reaches it; delete it, or justify a "
+                "test-only API with wsnstatic:allow(unreached)");
+    out->push_back({fn.file, fn.line, "unreached", std::move(message)});
+  }
+  return true;
+}
+
 // --- marker follow-up ---------------------------------------------------------
 
 void ReportTransientProblems(const TransientMap& transients,
@@ -441,6 +550,7 @@ std::vector<Finding> CheckIndex(const Index& index) {
   CheckHotPaths(index, &raw);
   CheckLpIsolation(index, &raw);
   CheckLayerDag(index, &raw);
+  const bool reach_claimed = CheckUnreached(index, &raw);
   ReportTransientProblems(transients, &raw);
 
   // Apply each file's wsnstatic:allow directives to its findings; a file
@@ -457,7 +567,8 @@ std::vector<Finding> CheckIndex(const Index& index) {
       file_findings = std::move(it->second);
       by_file.erase(it);
     }
-    ApplyAllows("wsnstatic", file, std::move(file_findings), &kept);
+    ApplyAllows("wsnstatic", file, std::move(file_findings), &kept,
+                reach_claimed ? "" : "unreached");
   }
   // Findings attributed to paths outside the index (should not happen, but
   // never drop a finding silently).

@@ -22,6 +22,7 @@ bool IsKeyword(const std::string& word) {
       "throw",    "case",     "goto",      "sizeof",   "alignof",
       "default",  "co_await", "co_return", "co_yield", "constexpr",
       "decltype", "typeid",   "assert",    "void",     "const",
+      "operator",
   };
   return kKeywords.count(word) != 0;
 }
@@ -80,6 +81,10 @@ std::string QualifiedNameEndingAt(const std::string& text, std::size_t end) {
   while (begin > 0 && IsIdentChar(text[begin - 1])) --begin;
   if (begin == end) return "";
   std::string name = text.substr(begin, end - begin);
+  if (begin > 0 && text[begin - 1] == '~') {
+    name = "~" + name;
+    --begin;
+  }
   while (begin >= 2 && text[begin - 1] == ':' && text[begin - 2] == ':') {
     std::size_t qual_end = begin - 2;
     std::size_t qual_begin = qual_end;
@@ -88,56 +93,98 @@ std::string QualifiedNameEndingAt(const std::string& text, std::size_t end) {
     name = text.substr(qual_begin, qual_end - qual_begin) + "::" + name;
     begin = qual_begin;
   }
-  if (begin > 0 && text[begin - 1] == '~') name = "~" + name;
   return name;
 }
 
 /// Decides whether `head` (the statement text before a `{`) is a function
 /// definition. On success fills `name`/`class_name` and returns true.
-bool ClassifyFunctionHead(const std::string& head,
+/// Destructors are named `~Class`, operators `operator<symbol>` (`operator()`,
+/// `operator<<`, `operator bool`).
+bool ClassifyFunctionHead(const std::string& full_head,
                           const std::string& enclosing_class,
                           std::string* name, std::string* class_name) {
-  const std::size_t paren = head.find('(');
-  if (paren == std::string::npos) return false;
-  const std::string prefix = head.substr(0, paren);
+  // A leading `template <...>` clause may hold defaults (`typename = ...`)
+  // and parentheses; the declaration proper starts after it.
+  std::string head = full_head;
+  if (head.rfind("template", 0) == 0) {
+    const std::size_t open = head.find('<');
+    if (open == std::string::npos) return false;
+    int depth = 0;
+    std::size_t i = open;
+    for (; i < head.size(); ++i) {
+      if (head[i] == '<') ++depth;
+      if (head[i] == '>' && --depth == 0) break;
+    }
+    if (i >= head.size()) return false;
+    head = Trim(head.substr(i + 1));
+  }
+  // An operator's own symbol may be `()`, so its parameter list opens at the
+  // first '(' after the symbol rather than at the first '(' of the head.
+  static const std::regex kOperator(R"(\boperator\s*(\(\s*\)|[^(]*))");
+  std::smatch op;
+  const bool is_operator = std::regex_search(head, op, kOperator);
+  const std::size_t paren =
+      is_operator ? static_cast<std::size_t>(op.position(0) + op.length(0))
+                  : head.find('(');
+  if (paren >= head.size() || head[paren] != '(') return false;
+  const std::string prefix =
+      head.substr(0, is_operator ? static_cast<std::size_t>(op.position(0))
+                                 : paren);
   // Assignments, member-call expressions, lambda intros, and array
   // declarators are never function heads.
   if (prefix.find('=') != std::string::npos) return false;
   if (prefix.find('.') != std::string::npos) return false;
   if (prefix.find("->") != std::string::npos) return false;
   if (prefix.find('[') != std::string::npos) return false;
-
-  std::size_t trimmed_end = prefix.size();
-  while (trimmed_end > 0 &&
-         std::isspace(static_cast<unsigned char>(prefix[trimmed_end - 1]))) {
-    --trimmed_end;
-  }
-  const std::string qualified = QualifiedNameEndingAt(prefix, trimmed_end);
-  if (qualified.empty()) return false;
-
-  std::string unqualified = qualified;
-  std::string qualifier;
-  const std::size_t sep = qualified.rfind("::");
-  if (sep != std::string::npos) {
-    unqualified = qualified.substr(sep + 2);
-    const std::size_t prev = qualified.rfind("::", sep - 1);
-    qualifier = prev == std::string::npos
-                    ? qualified.substr(0, sep)
-                    : qualified.substr(prev + 2, sep - prev - 2);
-  }
-  // Destructors carry no state logic worth indexing.
-  if (unqualified.empty() || unqualified[0] == '~') return false;
-  if (IsKeyword(unqualified)) return false;
   for (const std::string& token : Tokens(prefix)) {
     if (IsStatementKeyword(token)) return false;
   }
 
-  // A bare unqualified name with no return type is a call expression —
-  // except a constructor defined inside its own class.
-  const std::vector<std::string> tokens = Tokens(prefix);
-  const bool qualified_name = qualified.find("::") != std::string::npos;
-  if (tokens.size() < 2 && !qualified_name && unqualified != enclosing_class) {
-    return false;
+  std::string unqualified;
+  std::string qualifier;
+  bool qualified_name = false;
+  if (is_operator) {
+    std::string symbol;
+    for (const char c : op[1].str()) {
+      if (!std::isspace(static_cast<unsigned char>(c))) symbol += c;
+    }
+    if (symbol.empty()) return false;
+    unqualified = IsIdentChar(symbol[0]) ? "operator " + symbol
+                                         : "operator" + symbol;
+    const std::size_t end = prefix.size();
+    if (end >= 2 && prefix[end - 1] == ':' && prefix[end - 2] == ':') {
+      const std::string owner = QualifiedNameEndingAt(prefix, end - 2);
+      const std::size_t sep = owner.rfind("::");
+      qualifier = sep == std::string::npos ? owner : owner.substr(sep + 2);
+      qualified_name = true;
+    }
+  } else {
+    std::size_t trimmed_end = prefix.size();
+    while (trimmed_end > 0 && std::isspace(static_cast<unsigned char>(
+                                  prefix[trimmed_end - 1]))) {
+      --trimmed_end;
+    }
+    const std::string qualified = QualifiedNameEndingAt(prefix, trimmed_end);
+    if (qualified.empty()) return false;
+    unqualified = qualified;
+    const std::size_t sep = qualified.rfind("::");
+    if (sep != std::string::npos) {
+      unqualified = qualified.substr(sep + 2);
+      const std::size_t prev = qualified.rfind("::", sep - 1);
+      qualifier = prev == std::string::npos
+                      ? qualified.substr(0, sep)
+                      : qualified.substr(prev + 2, sep - prev - 2);
+    }
+    qualified_name = sep != std::string::npos;
+    if (unqualified.empty() || IsKeyword(unqualified)) return false;
+    // A bare unqualified name with no return type is a call expression —
+    // except a constructor or destructor defined inside its own class.
+    const std::string bare =
+        unqualified[0] == '~' ? unqualified.substr(1) : unqualified;
+    if (Tokens(prefix).size() < 2 && !qualified_name &&
+        bare != enclosing_class) {
+      return false;
+    }
   }
 
   // The parameter list must close before the brace, and only trailer
@@ -185,6 +232,26 @@ std::size_t FindInitializerEq(const std::string& text) {
   return std::string::npos;
 }
 
+/// The outermost qualifier of the identifier starting at `begin` in `text`
+/// (`std` for `std::chrono::now`); empty when it is unqualified.
+std::string QualifierRoot(const std::string& text, std::size_t begin) {
+  std::string root;
+  while (begin >= 2 && text[begin - 1] == ':' && text[begin - 2] == ':') {
+    const std::size_t qual_end = begin - 2;
+    std::size_t qual_begin = qual_end;
+    while (qual_begin > 0 && IsIdentChar(text[qual_begin - 1])) --qual_begin;
+    if (qual_begin == qual_end) break;
+    root = text.substr(qual_begin, qual_end - qual_begin);
+    begin = qual_begin;
+  }
+  return root;
+}
+
+void SortUnique(std::vector<std::string>* names) {
+  std::sort(names->begin(), names->end());
+  names->erase(std::unique(names->begin(), names->end()), names->end());
+}
+
 /// Parses one `;`-terminated statement at class scope; records it when it
 /// declares a data member.
 void ParseClassStatement(const std::string& raw_head, int line,
@@ -196,13 +263,6 @@ void ParseClassStatement(const std::string& raw_head, int line,
   if (eq != std::string::npos) decl = Trim(decl.substr(0, eq));
   if (decl.empty()) return;
 
-  const std::vector<std::string> tokens = Tokens(decl);
-  if (tokens.empty()) return;
-  static const std::set<std::string> kSkipLead = {
-      "using", "typedef", "friend", "static", "template", "enum",
-      "class",  "struct",  "union",  "operator"};
-  if (kSkipLead.count(tokens.front()) != 0) return;
-
   // A declaration ending in `)` (after trailing cv/virt specifiers) is a
   // method declaration; one ending in an identifier is a data member even
   // when its type spells parentheses (std::function<void(int)> cb_).
@@ -213,6 +273,17 @@ void ParseClassStatement(const std::string& raw_head, int line,
     tail = std::regex_replace(tail, kTrailingSpecifier, "");
   }
   if (!tail.empty() && tail.back() == ')') return;
+  // Member types and initializers run whenever the class is built.
+  for (std::string& ref : ExtractRefs(head)) {
+    cls->refs.push_back(std::move(ref));
+  }
+
+  const std::vector<std::string> tokens = Tokens(decl);
+  if (tokens.empty()) return;
+  static const std::set<std::string> kSkipLead = {
+      "using", "typedef", "friend", "static", "template", "enum",
+      "class",  "struct",  "union",  "operator"};
+  if (kSkipLead.count(tokens.front()) != 0) return;
   // Reference members bind in the constructor and cannot be reseated;
   // const/mutable members are configuration or synchronization, not
   // logical state — none of them belong in a serialized image.
@@ -244,24 +315,14 @@ std::vector<std::string> ExtractCalls(const std::string& body) {
        it != std::sregex_iterator(); ++it) {
     const std::string name = (*it)[1].str();
     if (IsKeyword(name)) continue;
-    // Resolve the qualifier chain; std:: calls never resolve to repo code.
-    std::size_t begin = static_cast<std::size_t>(it->position(1));
-    std::string root;
-    while (begin >= 2 && body[begin - 1] == ':' && body[begin - 2] == ':') {
-      std::size_t qual_end = begin - 2;
-      std::size_t qual_begin = qual_end;
-      while (qual_begin > 0 && IsIdentChar(body[qual_begin - 1])) {
-        --qual_begin;
-      }
-      if (qual_begin == qual_end) break;
-      root = body.substr(qual_begin, qual_end - qual_begin);
-      begin = qual_begin;
+    // std:: calls never resolve to repo code.
+    if (QualifierRoot(body, static_cast<std::size_t>(it->position(1))) ==
+        "std") {
+      continue;
     }
-    if (root == "std") continue;
     calls.push_back(name);
   }
-  std::sort(calls.begin(), calls.end());
-  calls.erase(std::unique(calls.begin(), calls.end()), calls.end());
+  SortUnique(&calls);
   return calls;
 }
 
@@ -271,7 +332,7 @@ struct Scope {
   ScopeKind kind = ScopeKind::kOther;
   std::size_t class_index = 0;     // into out->classes, for kClass
   std::size_t function_index = 0;  // into out->functions, for kFunction
-  std::string carried_head;        // restored on pop, for kOther
+  std::string carried_head;        // restored on pop, for kOther in a class
 };
 
 void ParseStructure(SourceFile* file, Index* out) {
@@ -280,6 +341,8 @@ void ParseStructure(SourceFile* file, Index* out) {
   std::string head;
   int line = 1;
   int head_line = 1;
+  std::size_t head_begin = 0;
+  bool line_start = true;  // only whitespace so far on this line
 
   const auto enclosing_class = [&]() -> ClassInfo* {
     if (!scopes.empty() && scopes.back().kind == ScopeKind::kClass) {
@@ -294,7 +357,20 @@ void ParseStructure(SourceFile* file, Index* out) {
 
   for (std::size_t i = 0; i < code.size(); ++i) {
     const char c = code[i];
-    if (c == '\n') ++line;
+    if (c == '\n') {
+      ++line;
+      line_start = true;
+    } else if (line_start && !std::isspace(static_cast<unsigned char>(c))) {
+      line_start = false;
+      // Preprocessor lines (with their continuations) are not statements.
+      if (c == '#') {
+        while (i + 1 < code.size() &&
+               (code[i + 1] != '\n' || code[i] == '\\')) {
+          if (code[++i] == '\n') ++line;
+        }
+        continue;
+      }
+    }
     if (c == '{') {
       const std::string statement = StripLabelsAndAttributes(head);
       Scope scope;
@@ -307,15 +383,16 @@ void ParseStructure(SourceFile* file, Index* out) {
                  statement.find('(') == std::string::npos) {
         scope.kind = ScopeKind::kClass;
         scope.class_index = out->classes.size();
-        out->classes.push_back({match[3].str(), file->path, head_line, {}});
+        out->classes.push_back({match[3].str(), file->path, head_line, {},
+                                ExtractRefs(statement)});
       } else if (ClassifyFunctionHead(
                      statement,
                      enclosing_class() ? enclosing_class()->name : "", &name,
                      &class_name)) {
         scope.kind = ScopeKind::kFunction;
         scope.function_index = out->functions.size();
-        out->functions.push_back(
-            {name, class_name, file->path, head_line, i + 1, i + 1, {}});
+        out->functions.push_back({name, class_name, file->path, head_line,
+                                  head_begin, i + 1, i + 1, {}, {}});
       } else {
         scope.kind = ScopeKind::kOther;
         scope.carried_head = head;
@@ -326,19 +403,29 @@ void ParseStructure(SourceFile* file, Index* out) {
     }
     if (c == '}') {
       if (!scopes.empty()) {
-        const Scope& top = scopes.back();
+        Scope top = std::move(scopes.back());
+        scopes.pop_back();
         if (top.kind == ScopeKind::kFunction) {
           out->functions[top.function_index].body_end = i;
-          head.clear();
-        } else if (top.kind == ScopeKind::kOther) {
-          head = top.carried_head;  // brace-init member: keep the decl text
+        }
+        const std::size_t next = code.find_first_not_of(" \t\r\n", i + 1);
+        const bool initializer = next != std::string::npos &&
+                                 (code[next] == ';' || code[next] == ',');
+        if (top.kind == ScopeKind::kOther && enclosing_class() &&
+            initializer) {
+          // A brace-init member: keep the declaration text.
+          head = std::move(top.carried_head);
         } else {
           head.clear();
         }
-        scopes.pop_back();
       } else {
         head.clear();
       }
+      continue;
+    }
+    if (c == ':' && (head == "public" || head == "private" ||
+                     head == "protected")) {
+      head.clear();  // an access label starts no declaration
       continue;
     }
     if (c == ';') {
@@ -350,6 +437,7 @@ void ParseStructure(SourceFile* file, Index* out) {
     }
     if (head.empty() && !std::isspace(static_cast<unsigned char>(c))) {
       head_line = line;
+      head_begin = i;
     }
     if (!std::isspace(static_cast<unsigned char>(c)) || !head.empty()) {
       head += c == '\n' ? ' ' : c;
@@ -358,6 +446,25 @@ void ParseStructure(SourceFile* file, Index* out) {
 }
 
 }  // namespace
+
+std::vector<std::string> ExtractRefs(const std::string& text) {
+  std::vector<std::string> refs;
+  std::size_t i = 0;
+  while (i < text.size()) {
+    if (!IsIdentChar(text[i])) {
+      ++i;
+      continue;
+    }
+    const std::size_t begin = i;
+    while (i < text.size() && IsIdentChar(text[i])) ++i;
+    if (std::isdigit(static_cast<unsigned char>(text[begin]))) continue;
+    const std::string word = text.substr(begin, i - begin);
+    if (IsKeyword(word) || QualifierRoot(text, begin) == "std") continue;
+    refs.push_back(word);
+  }
+  SortUnique(&refs);
+  return refs;
+}
 
 const SourceFile* Index::FileByPath(const std::string& path) const {
   for (const SourceFile& file : files) {
@@ -413,7 +520,10 @@ Index BuildIndex(std::vector<SourceFile> files) {
       fn.calls = ExtractCalls(
           file->scan.code.substr(fn.body_begin, fn.body_end - fn.body_begin));
     }
+    fn.refs = ExtractRefs(
+        file->scan.code.substr(fn.head_begin, fn.body_end - fn.head_begin));
   }
+  for (ClassInfo& cls : index.classes) SortUnique(&cls.refs);
   std::sort(index.classes.begin(), index.classes.end(),
             [](const ClassInfo& a, const ClassInfo& b) {
               return std::tie(a.name, a.file, a.line) <

@@ -36,17 +36,22 @@ struct ClassInfo {
   std::string file;
   int line = 0;
   std::vector<Member> members;
+  std::vector<std::string> refs;  // identifiers in its head (bases) and in
+                                  // its data member declarations
 };
 
 /// One function *definition* (a body was found).
 struct FunctionInfo {
-  std::string name;        // unqualified, e.g. "Transmit"
+  std::string name;        // unqualified: "Transmit", "~Rng", "operator()"
   std::string class_name;  // enclosing/qualifying class; "" = free function
   std::string file;
-  int line = 0;                     // 1-based line of the body's open brace
-  std::size_t body_begin = 0;       // offsets into the file's blanked code
-  std::size_t body_end = 0;         // [begin, end) excludes the braces
-  std::vector<std::string> calls;   // unqualified callee names, sorted+deduped
+  int line = 0;                // 1-based line where the definition starts
+  std::size_t head_begin = 0;  // offsets into the file's blanked code: the
+  std::size_t body_begin = 0;  // head (return type, parameters, initializer
+  std::size_t body_end = 0;    // list) starts at head_begin; [body_begin,
+                               // body_end) is the body without its braces
+  std::vector<std::string> calls;  // unqualified `name(` callees in the body
+  std::vector<std::string> refs;   // every identifier in head and body
 };
 
 /// The whole-tree index. Vectors are sorted (files by path, classes by
@@ -67,6 +72,11 @@ struct Index {
   /// 1-based line of byte `offset` within `file`'s code view.
   [[nodiscard]] static int LineOf(const SourceFile& file, std::size_t offset);
 };
+
+/// Every identifier of `text` (blanked code) that could name repo code:
+/// keywords, numeric literals and std::-qualified names are dropped.
+/// Sorted and deduplicated.
+[[nodiscard]] std::vector<std::string> ExtractRefs(const std::string& text);
 
 /// Builds the index from `files` (sorted by path) and fills each file's
 /// `markers` and `includes`.

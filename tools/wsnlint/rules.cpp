@@ -186,6 +186,17 @@ void CheckHotAlloc(const SourceFile& file, std::vector<Finding>* out) {
   }
 }
 
+/// The first line at or below `line` that holds code (1-based).
+int CodeLineFrom(const SourceFile& file, int line) {
+  for (std::size_t i = static_cast<std::size_t>(line) - 1;
+       i < file.code_lines.size(); ++i) {
+    if (file.code_lines[i].find_first_not_of(" \t\r") != std::string::npos) {
+      return static_cast<int>(i) + 1;
+    }
+  }
+  return 0;
+}
+
 }  // namespace
 
 const std::vector<RuleInfo>& Rules() {
@@ -227,6 +238,9 @@ const std::vector<RuleInfo>& Rules() {
        "quoted includes respect the layer order util < sim/trace < "
        "phy/channel < mac/core < link < app < node < metrics < "
        "experiment/validate < serve"},
+      {"unreached", kCross, "wsnstatic",
+       "every function defined in src/ is reachable from the main of a "
+       "binary under examples/, bench/, perfbench/ or tools/"},
   };
   return kRules;
 }
@@ -239,7 +253,8 @@ bool IsKnownRule(const std::string& prefix, const std::string& id) {
 }
 
 void ApplyAllows(const std::string& prefix, const SourceFile& file,
-                 std::vector<Finding> raw, std::vector<Finding>* out) {
+                 std::vector<Finding> raw, std::vector<Finding>* out,
+                 const std::string& idle_rule) {
   struct Allow {
     int line = 0;
     std::string rule;
@@ -267,7 +282,9 @@ void ApplyAllows(const std::string& prefix, const SourceFile& file,
   for (Finding& finding : raw) {
     bool suppressed = false;
     for (Allow& allow : allows) {
-      if (allow.rule == finding.rule) {
+      if (allow.rule == finding.rule &&
+          (allow.rule != "unreached" ||
+           CodeLineFrom(file, allow.line) == finding.line)) {
         allow.used = true;
         suppressed = true;
       }
@@ -275,7 +292,7 @@ void ApplyAllows(const std::string& prefix, const SourceFile& file,
     if (!suppressed) out->push_back(std::move(finding));
   }
   for (const Allow& allow : allows) {
-    if (!allow.used && allow.has_reason) {
+    if (!allow.used && allow.has_reason && allow.rule != idle_rule) {
       out->push_back({file.path, allow.line, "allow-directive",
                       "stale " + prefix + ":allow(" + allow.rule +
                           "): it suppresses nothing; remove it"});

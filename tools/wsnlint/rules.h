@@ -11,7 +11,8 @@
 //   // <prefix>:allow(<rule-id>): one-line justification
 // (angle brackets not included) disables that rule for the whole file,
 // where <prefix> is the rule's own marker spelling: `wsnlint` for the
-// per-file rules, `wsnstatic` for the cross-TU ones. The justification is
+// per-file rules, `wsnstatic` for the cross-TU ones (an `unreached` allow
+// covers only the definition below it). The justification is
 // mandatory (an allow without one is itself a finding), an allow naming a
 // rule of the other spelling is an unknown rule id, and an allow that
 // suppresses nothing is flagged as stale so escapes cannot rot in place.
@@ -42,12 +43,16 @@ struct RuleInfo {
 [[nodiscard]] bool IsKnownRule(const std::string& prefix,
                                const std::string& id);
 
-/// Applies `file`'s file-scope `<prefix>:allow` directives to `raw`:
-/// suppressed findings are dropped, the rest are appended to `out` together
-/// with directive problems (unknown rule id, missing justification, stale
-/// allow) under the `allow-directive` pseudo-rule.
+/// Applies `file`'s `<prefix>:allow` directives to `raw`: suppressed
+/// findings are dropped, the rest are appended to `out` together with
+/// directive problems (unknown rule id, missing justification, stale allow)
+/// under the `allow-directive` pseudo-rule. An allow covers the whole file,
+/// except `unreached`'s, which covers the one definition starting on the
+/// first code line at or below it. Allows of `idle_rule`, a rule that made
+/// no claim on this scan, are never stale.
 void ApplyAllows(const std::string& prefix, const SourceFile& file,
-                 std::vector<Finding> raw, std::vector<Finding>* out);
+                 std::vector<Finding> raw, std::vector<Finding>* out,
+                 const std::string& idle_rule = "");
 
 /// Runs every per-file rule over one file, with its `wsnlint:allow`
 /// directives applied.
@@ -60,6 +65,7 @@ void ApplyAllows(const std::string& prefix, const SourceFile& file,
 /// Runs every cross-TU rule over the index, with each file's
 /// `wsnstatic:allow` directives applied. Marker problems (malformed serdes,
 /// unmatched or stale transient) are findings under `marker-directive`.
+/// `unreached` reports only when the index holds a binary's main.
 [[nodiscard]] std::vector<Finding> CheckIndex(const Index& index);
 
 /// Applies the mechanical fixes (rule header-hygiene: inserts a missing

@@ -101,7 +101,7 @@ RunResult Check(std::vector<std::pair<std::string, std::string>> sources) {
   for (auto& [path, content] : sources) {
     SourceFile file = ScanFile(std::move(path), std::move(content));
     Append(CheckFile(file), &result.findings);
-    if (file.UnderSrc()) indexed.push_back(std::move(file));
+    if (file.path.rfind("tests/", 0) != 0) indexed.push_back(std::move(file));
   }
   const Index index = BuildIndex(std::move(indexed));
   Append(CheckIndex(index), &result.findings);
@@ -112,7 +112,9 @@ RunResult Check(std::vector<std::pair<std::string, std::string>> sources) {
 RunResult Run(const Options& options) {
   const fs::path root = fs::absolute(options.root);
   std::vector<std::string> roots = options.paths;
-  if (roots.empty()) roots = {"src", "bench", "examples", "tests", "tools"};
+  if (roots.empty()) {
+    roots = {"src", "bench", "examples", "perfbench", "tests", "tools"};
+  }
 
   std::vector<fs::path> files;
   for (const std::string& entry : roots) {

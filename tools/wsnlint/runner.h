@@ -1,8 +1,8 @@
 // Filesystem driver for wsnlint: walks the requested directories, reads and
 // scans each C++ source file once, runs the per-file rules on every file
-// and the cross-TU rules on the files under src/. Kept separate from the
-// rules so tests can analyze in-memory file sets without touching disk and
-// so the CLI stays a thin shell.
+// and the cross-TU rules on the index of every file outside tests/. Kept
+// separate from the rules so tests can analyze in-memory file sets without
+// touching disk and so the CLI stays a thin shell.
 #pragma once
 
 #include <string>
@@ -19,7 +19,7 @@ struct Options {
   std::string root = ".";
   // Files or directories to analyze, relative to `root`. Directories are
   // walked recursively for .h/.cpp/.cc files. Empty means the default scan
-  // set: src, bench, examples, tests, tools.
+  // set: src, bench, examples, perfbench, tests, tools.
   std::vector<std::string> paths;
   // Apply mechanical fixes in place (currently: missing #pragma once).
   bool fix = false;

@@ -266,22 +266,21 @@ std::vector<Marker> ParseMarkers(const std::string& prefix,
   // <prefix>:<verb>            (verb-only, e.g. hot-path)
   // <prefix>:<verb>(ids)       (exemption without reason — reported by caller)
   // <prefix>:<verb>(ids): why  (full form)
-  const std::regex re(prefix +
+  // The directive opens its comment; prose that mentions one is not one.
+  const std::regex re("^\\s*" + prefix +
                       R"(:([A-Za-z][A-Za-z0-9\-]*))"
                       R"((\(\s*([A-Za-z0-9_, \-]+?)\s*\))?)"
                       R"(\s*(:\s*(\S.*))?)");
   for (const Comment& comment : comments) {
-    for (auto it = std::sregex_iterator(comment.text.begin(),
-                                        comment.text.end(), re);
-         it != std::sregex_iterator(); ++it) {
-      Marker marker;
-      marker.line = comment.line;
-      marker.verb = (*it)[1].str();
-      if ((*it)[2].matched) marker.ids = SplitIds((*it)[3].str());
-      marker.has_reason = (*it)[4].matched;
-      if (marker.has_reason) marker.reason = Trim((*it)[5].str());
-      markers.push_back(std::move(marker));
-    }
+    std::smatch match;
+    if (!std::regex_search(comment.text, match, re)) continue;
+    Marker marker;
+    marker.line = comment.line;
+    marker.verb = match[1].str();
+    if (match[2].matched) marker.ids = SplitIds(match[3].str());
+    marker.has_reason = match[4].matched;
+    if (marker.has_reason) marker.reason = Trim(match[5].str());
+    markers.push_back(std::move(marker));
   }
   return markers;
 }
@@ -300,10 +299,8 @@ SourceFile ScanFile(std::string path, std::string content) {
   file.content = std::move(content);
   file.scan = ScanSource(file.content);
   file.code_lines = SplitLines(file.scan.code);
-  for (const Comment& comment : file.scan.comments) {
-    if (comment.text.find("wsnlint:hot-path") != std::string::npos) {
-      file.hot_path = true;
-    }
+  for (const Marker& marker : ParseMarkers("wsnlint", file.scan.comments)) {
+    if (marker.verb == "hot-path") file.hot_path = true;
   }
   return file;
 }

@@ -11,7 +11,7 @@
 // u8R/uR/UR/LR — enough to be exact about what is code and what is not,
 // which is all the rules need.
 //
-// A marker is a comment of the form
+// A marker is a comment that opens with
 //   <prefix>:<verb>(<id>[, <id>...]): one-line justification
 // with <prefix> one of wsnlint/wsnstatic, e.g. an allow(no-wallclock) with
 // a one-line reason, or a transient(digest) naming a field that is derived
@@ -72,7 +72,8 @@ struct Marker {
   std::string reason;  // empty when has_reason is false
 };
 
-/// Extracts every `<prefix>:<verb>(...)` marker from `comments`. Verb-only
+/// Extracts the `<prefix>:<verb>(...)` marker that opens a comment (after
+/// leading whitespace), at most one per comment, from `comments`. Verb-only
 /// markers without an argument list (e.g. `wsnlint:hot-path`) are returned
 /// with empty `ids` and no reason requirement implied — callers decide which
 /// verbs demand justification.
@@ -86,20 +87,21 @@ struct Include {
 };
 
 /// One scanned source file: read and scanned once, then shared by the
-/// per-file rules and (for files under src/) the cross-TU index.
+/// per-file rules and (for files outside tests/) the cross-TU index.
 struct SourceFile {
   std::string path;  // relative to the analysis root, '/'-separated
   std::string content;
   ScanResult scan;
   std::vector<std::string> code_lines;  // SplitLines(scan.code)
   bool hot_path = false;                // carries a wsnlint:hot-path marker
-  // Filled by BuildIndex only, for indexed (src/) files.
+  // Filled by BuildIndex only, for indexed files.
   std::vector<Marker> markers;  // wsnstatic:* directives
   std::vector<Include> includes;
 
   /// True when the file sits under `src/<subdir>`. The single definition of
   /// "in the simulator tree": src/-only rules, the raw-parse exemption for
-  /// src/util/, the cross-TU index scope and the layer of a file.
+  /// src/util/, the files the cross-TU rules report on and the layer of a
+  /// file.
   [[nodiscard]] bool UnderSrc(const std::string& subdir = "") const;
   [[nodiscard]] bool IsHeader() const;
 };

@@ -1,12 +1,14 @@
 // wsnlint — the repo's static analyzer (docs/STATIC_ANALYSIS.md): per-file
-// determinism/portability rules plus cross-TU rules over src/.
+// determinism/portability rules plus cross-TU rules reporting on src/.
 //
 // Usage:
 //   wsnlint [--root DIR] [--fix] [--list-rules] [--inventory FILE] [PATH...]
 //
 // PATHs (files or directories, relative to --root) default to the full scan
-// set: src bench examples tests tools. Every scanned file gets the per-file
-// rules; the scanned files under src/ also form the cross-TU index. Exit
+// set: src bench examples perfbench tests tools. Every scanned file gets the
+// per-file rules; every scanned file outside tests/ also joins the cross-TU
+// index, whose rules report on src/ (unreached only when the scan holds a
+// binary's main). Exit
 // status is 0 when clean, 1 when there are findings, 2 on usage or I/O
 // errors. Findings print as `file:line:rule-id: message`, one per line,
 // sorted — the same byte format tests/lint_test.cpp locks with a golden.
@@ -23,7 +25,8 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: wsnlint [--root DIR] [--fix] [--list-rules] [--inventory FILE] "
-    "[PATH...]\n";
+    "[PATH...]\n"
+    "PATHs default to: src bench examples perfbench tests tools\n";
 
 }  // namespace
 
